@@ -8,14 +8,16 @@ a workload does not depend on the seed.
 Each served document gets its expected output from an independent path
 (the ``DTOP.apply`` interpreter, or the local pipeline, which runs the
 origin-tracking interpreter) and, where the repository has one, from a
-plain-Python reference as well.  The two must agree before the run
-starts; the served output is then compared with them byte for byte.
+plain-Python reference as well.  The two must agree; the served output
+is then compared with them byte for byte.  ``bulk-fresh`` documents are
+made while the run goes on, so there the plain-Python reference checks
+every document and the interpreter every ``FRESH_CROSS_CHECK``-th one.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.json.jsonio import parse_json, serialize_json
 from repro.trees.tree import Tree, parse_term
@@ -53,8 +55,16 @@ JSON_STREAM_DOCS = 2000
 XML_STREAM_DOCS = 64
 #: Children per ``bulk-xml`` document.
 XML_STREAM_CHILDREN = (10, 40)
-#: Distinct streams generated per bulk run; the run cycles over them.
+#: Streams generated per ``bulk-json``/``bulk-xml`` run; the run cycles
+#: over them.
 BULK_STREAMS = 2
+#: Documents in one ``bulk-fresh`` stream (eight full batches of 32),
+#: below ``--max-pending``.
+FRESH_STREAM_DOCS = 256
+#: Every ``FRESH_CROSS_CHECK``-th ``bulk-fresh`` document is also run
+#: through the local pipeline, which must agree with the plain-Python
+#: reference.
+FRESH_CROSS_CHECK = 8
 
 #: Keys that ``rename-json@1`` cannot collide on: a document holding
 #: both ``pwd`` and ``password`` renames into a duplicate key, which is
@@ -197,11 +207,14 @@ def json_stream(rng: random.Random) -> List[str]:
 
 
 def xml_stream(rng: random.Random) -> List[str]:
-    """A ``bulk-xml`` stream: wide, value-free ``xmlflip`` documents."""
+    """A ``bulk-xml`` stream: wide, value-free ``xmlflip`` documents.
+
+    An ``xmlflip`` document has no content but its number of ``a`` and
+    ``b`` children.  Every stream holds the same widths and a/b splits
+    (encode time grows with the list lengths), so every stream of every
+    seed holds the same 64 documents; the seed only orders them.
+    """
     low, high = XML_STREAM_CHILDREN
-    # Every stream holds the same spread of widths and of a/b splits
-    # (encode time grows with the list lengths), so the seed changes
-    # content but not cost.
     steps = range(XML_STREAM_DOCS)
     widths = [low + (high - low) * step // (XML_STREAM_DOCS - 1) for step in steps]
     shares = [step / (XML_STREAM_DOCS - 1) for step in steps]
@@ -216,11 +229,79 @@ def xml_stream(rng: random.Random) -> List[str]:
     return documents
 
 
+def _config(rng: random.Random, depth: int):
+    """A scalar-free config value: objects and arrays over booleans and null."""
+    if depth < 3 and rng.random() < 0.6:
+        if rng.random() < 0.75:
+            keys = sorted(rng.sample(SAFE_KEYS, rng.randint(2, 5)))
+            return {key: _config(rng, depth + 1) for key in keys}
+        return [_config(rng, depth + 1) for _ in range(rng.randint(1, 4))]
+    return rng.choice([True, False, None])
+
+
 def stream_body(model: str, documents: List[str]) -> bytes:
     """The ``transform_stream`` body: JSON lines, or one wrapping root."""
     if model.endswith("-json@1"):
         return ("\n".join(documents) + "\n").encode("utf-8")
     return ("<batch>" + "".join(documents) + "</batch>").encode("utf-8")
+
+
+class Stream(NamedTuple):
+    """One ``transform_stream`` request and its expected outputs."""
+
+    documents: List[str]
+    body: bytes
+    expected: List[str]
+
+
+class StreamPool:
+    """The streams of a ``bulk-json``/``bulk-xml`` run, cycled by index."""
+
+    def __init__(self, model: str, documents: List[List[str]], expected: List[List[str]]):
+        self.streams = [
+            Stream(stream, stream_body(model, stream), want)
+            for stream, want in zip(documents, expected)
+        ]
+
+    def stream(self, index: int) -> Stream:
+        return self.streams[index % len(self.streams)]
+
+
+class FreshStreams:
+    """The streams of a ``bulk-fresh`` run: new documents for every index.
+
+    Each document is a scalar-free config for ``rename-json@1``, three
+    levels deep.  Scalar-free documents take the compiled engine, and
+    documents drawn afresh give it trees it has not seen (their shared
+    subtrees still hit its memo).  Streams are made on first use, in
+    index order, so the same seed gives the same streams.
+    """
+
+    model = "rename-json@1"
+
+    def __init__(self, rng: random.Random, registry):
+        self.rng = rng
+        self.registry = registry
+        self.streams: List[Stream] = []
+
+    def stream(self, index: int) -> Stream:
+        while len(self.streams) <= index:
+            self.streams.append(self._make())
+        return self.streams[index]
+
+    def _make(self) -> Stream:
+        documents, expected = [], []
+        for position in range(FRESH_STREAM_DOCS):
+            keys = sorted(self.rng.sample(SAFE_KEYS, self.rng.randint(3, 6)))
+            value = {key: _config(self.rng, 1) for key in keys}
+            document = serialize_json(value)
+            if position % FRESH_CROSS_CHECK == 0:
+                want = reference_output(self.registry, self.model, document)
+            else:
+                want = serialize_json(jsonwl.reference_rename(value))
+            documents.append(document)
+            expected.append(want)
+        return Stream(documents, stream_body(self.model, documents), expected)
 
 
 # ----------------------------------------------------------------------

@@ -153,8 +153,9 @@ def new_timings() -> Dict[str, List[float]]:
 def run_phase(targets: Targets, seconds: float, tally: Tally, timings=None):
     """Learn fresh batches for ``seconds``.
 
-    Returns ``(learn seconds per target, set-up seconds per batch, peak
-    RSS in MiB after RSS_BATCHES batches)``.  The learner's memos grow
+    Returns ``(learn seconds per target, targets per second of learning
+    per batch, set-up seconds per batch, peak RSS in MiB after
+    RSS_BATCHES batches)``.  The learner's memos grow
     with every target, so the peak is read after a fixed amount of work,
     not at a time that depends on speed.  Every learned machine is
     checked against its canonical target with ``api.equivalent``
@@ -162,6 +163,7 @@ def run_phase(targets: Targets, seconds: float, tally: Tally, timings=None):
     """
     timings = timings if timings is not None else new_timings()
     latencies: List[float] = []
+    rates: List[float] = []
     setups: List[float] = []
     rss_mb = None
     deadline = time.perf_counter() + seconds
@@ -170,6 +172,7 @@ def run_phase(targets: Targets, seconds: float, tally: Tally, timings=None):
             rss_mb = peak_rss_mb()
         setup_s, prepared = prepare_batch(targets, timings)
         setups.append(setup_s)
+        batch_started = len(latencies)
         for canonical, pairs in prepared:
             try:
                 elapsed, learned = learn_one(canonical, pairs, timings)
@@ -178,5 +181,8 @@ def run_phase(targets: Targets, seconds: float, tally: Tally, timings=None):
                 continue
             if check_learned(tally, learned, canonical):
                 latencies.append(elapsed)
-    return latencies, setups, rss_mb if rss_mb is not None else peak_rss_mb()
+        batch = latencies[batch_started:]
+        if batch:
+            rates.append(len(batch) / sum(batch))
+    return latencies, rates, setups, rss_mb if rss_mb is not None else peak_rss_mb()
 

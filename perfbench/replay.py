@@ -1,11 +1,15 @@
 """The traced run's layer ledger, timed from outside the program.
 
 The server keeps no per-layer timers, so the traced run replays the
-documents it served, in the same batch sizes, through the layers'
-public functions in this process, and times each call.  The layers a
-batch dispatch covers (codec encode, engine execute, origin tracking,
-codec decode) are subtracted from the server's own dispatch histogram
-to give ``pipeline.unattributed_ms``; nothing is hidden in a layer.
+documents it served, in the same batch sizes, through the same public
+calls in this process: ``parse_document``, then ``run_batch`` (what a
+batch dispatch runs) with a :class:`~repro.obs.trace.TraceContext`,
+whose ``pipeline.encode``, ``execute`` and ``pipeline.decode`` spans give
+those layers, then ``render_output``.  The origin-tracking interpreter
+runs inside ``pipeline.decode``; it is timed once more on its own to
+break that span down.  The spans are subtracted from the server's own
+dispatch histogram to give ``pipeline.unattributed_ms``; nothing is
+hidden in a layer.
 """
 
 from __future__ import annotations
@@ -14,17 +18,23 @@ import os
 import statistics
 import time
 from collections import defaultdict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
-from repro.engine import engine_for
-from repro.json.jsonio import parse_json, serialize_json
-from repro.server.registry import KIND_DTOP, KIND_JSON, ModelRegistry
+from repro.obs.trace import TraceContext
+from repro.server.registry import KIND_DTOP, KIND_JSON, KIND_XML, ModelRegistry
 from repro.transducers.origins import apply_with_origins
-from repro.trees.tree import parse_term
-from repro.xml.xmlio import parse_xml, serialize_xml
 
 from perfbench.common import dag_nodes
 from perfbench.serving import fresh_models
+
+#: Span names of ``run_batch`` and the ledger layer each one times.
+SPAN_LAYERS = {"pipeline.encode": "encode", "execute": "execute", "pipeline.decode": "decode"}
+#: Per model kind: the codec prefix of the span layers, and the parse layer.
+PARSE_LAYERS = {
+    KIND_DTOP: ("term", "term.parse"),
+    KIND_JSON: ("json", "jsonio.parse"),
+    KIND_XML: ("xml", "xmlio.parse"),
+}
 
 
 class Ledger:
@@ -71,103 +81,58 @@ def replay_batch(
     model: str,
     documents: Sequence[str],
     expected: Sequence[str],
-    ledger: Optional[Ledger],
+    ledger: Ledger,
 ) -> None:
     """Replay one batch through the layers of ``registry``'s model.
 
-    ``ledger`` is ``None`` for an untimed warm-up.  The outputs must
-    equal ``expected``.
+    The outputs must equal ``expected``.
     """
     entry = registry.get(model)
-    engine = engine_for(entry.machine, entry.backend)
     clock = time.perf_counter
-    if entry.kind == KIND_DTOP:
-        started = clock()
-        trees = [parse_term(document) for document in documents]
-        parsed = clock()
-        memo_before = engine.memo_size()
-        outputs = engine.run_batch_outcomes(trees)
-        executed = clock()
-        rendered = [str(output) for output in outputs]
-        finished = clock()
-        if ledger is not None:
-            ledger.add("term.parse", parsed - started, len(documents))
-            ledger.add("execute", executed - parsed)
-            ledger.add("render", finished - executed, len(documents))
-            ledger.counts["pairs"] += engine.memo_size() - memo_before
-            ledger.counts["documents"] += len(documents)
-            ledger.counts["encoded_nodes"] += sum(tree.size for tree in trees)
-            ledger.counts["dag_nodes"] += dag_nodes(trees)
-            ledger.counts["batches"] += 1
-        _check(model, rendered, expected)
-        return
-    codec = "json" if entry.kind == KIND_JSON else "xml"
-    transformation = entry.transformation
-    encoder = (
-        transformation.encoder if codec == "json" else transformation.input_encoder
-    )
     started = clock()
-    if codec == "json":
-        parsed_documents = [parse_json(document) for document in documents]
-    else:
-        parsed_documents = [
-            parse_xml(document, ignore_attributes=True) for document in documents
-        ]
-    parsed = clock()
-    encoded = [encoder.encode_with_values(document) for document in parsed_documents]
-    encoded_at = clock()
-    engine_inputs = [tree for tree, values in encoded if not values]
-    memo_before = engine.memo_size()
-    engine_outputs = iter(engine.run_batch_outcomes(engine_inputs) if engine_inputs else ())
-    executed = clock()
-    origins_s = decode_s = 0.0
-    results = []
-    for tree, values in encoded:
-        if values:
-            before = clock()
-            output, origins = apply_with_origins(transformation.transducer, tree)
-            origins_s += clock() - before
-        else:
-            output, origins = next(engine_outputs), {}
-        before = clock()
-        results.append(transformation._decode_with_values(output, origins, values))
-        decode_s += clock() - before
-    decoded = clock()
-    render = serialize_json if codec == "json" else serialize_xml
-    rendered = [render(result) for result in results]
+    parsed = [entry.parse_document(document) for document in documents]
+    parsed_at = clock()
+    trace = TraceContext()
+    outcomes = entry.run_batch(parsed, trace=trace)
+    ran_at = clock()
+    rendered = [
+        outcome if isinstance(outcome, Exception) else entry.render_output(outcome)
+        for outcome in outcomes
+    ]
     finished = clock()
-    if ledger is not None:
-        with_values = sum(1 for _tree, values in encoded if values)
-        parse_layer = "jsonio.parse" if codec == "json" else "xmlio.parse"
-        ledger.add(parse_layer, parsed - started, len(documents))
-        ledger.add(f"{codec}.encode", encoded_at - parsed, len(documents))
-        if engine_inputs:
-            ledger.add("execute", executed - encoded_at)
-        if with_values:
-            ledger.add("origins", origins_s, with_values)
-        ledger.add(f"{codec}.decode", decode_s, len(documents))
-        ledger.add("render", finished - decoded, len(documents))
-        ledger.counts["pairs"] += engine.memo_size() - memo_before
-        ledger.counts["documents"] += len(documents)
-        trees = [tree for tree, _values in encoded]
-        ledger.counts["encoded_nodes"] += sum(tree.size for tree in trees)
-        ledger.counts["dag_nodes"] += dag_nodes(trees)
-        ledger.counts["batches"] += 1
-    _check(model, rendered, expected)
-
-
-def _check(model: str, rendered: List[str], expected: Sequence[str]) -> None:
     for got, want in zip(rendered, expected):
         if got != want:
-            raise RuntimeError(
-                f"replay of {model} diverged from the reference: {got!r} != {want!r}"
-            )
+            raise RuntimeError(f"replay of {model} diverged from the reference: {got!r} != {want!r}")
+    codec, parse_layer = PARSE_LAYERS[entry.kind]
+    ledger.add(parse_layer, parsed_at - started, len(documents))
+    for span in trace.root.children:
+        layer = SPAN_LAYERS[span.name]
+        if layer != "execute":
+            ledger.add(f"{codec}.{layer}", span.duration_s, len(documents))
+        elif span.meta["documents"]:  # no engine runs when every document carries values
+            ledger.add(layer, span.duration_s)
+    ledger.add("render", finished - ran_at, len(documents))
+    if entry.kind == KIND_DTOP:
+        trees = parsed
+    else:
+        transformation = entry.transformation
+        encoder = transformation.encoder if entry.kind == KIND_JSON else transformation.input_encoder
+        encoded = [encoder.encode_with_values(document) for document in parsed]
+        trees = [tree for tree, _values in encoded]
+        for tree, values in encoded:
+            if values:
+                before = clock()
+                apply_with_origins(transformation.transducer, tree)
+                ledger.add("origins", clock() - before)
+    ledger.counts["documents"] += len(documents)
+    ledger.counts["encoded_nodes"] += sum(tree.size for tree in trees)
+    ledger.counts["dag_nodes"] += dag_nodes(trees)
+    ledger.counts["batches"] += 1
 
 
 def dispatch_seconds(ledger: Ledger) -> float:
-    """Replayed seconds of the layers a batch dispatch covers."""
+    """Replayed seconds of the ``run_batch`` spans a batch dispatch covers."""
     return sum(
         ledger.seconds.get(layer, 0.0)
-        for layer in ("xml.encode", "json.encode", "execute", "origins", "xml.decode", "json.decode")
+        for layer in ("xml.encode", "json.encode", "execute", "xml.decode", "json.decode")
     )
-

@@ -18,7 +18,7 @@ import subprocess
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 from repro.server.client import ServerClient
@@ -27,6 +27,13 @@ from perfbench.common import Tally, peak_rss_mb
 
 #: Seconds a server may take from launch to its first ``health``.
 BOOT_TIMEOUT_S = 60.0
+#: Seconds of closed-loop requests per throughput window.
+RATE_WINDOW_S = 1.0
+#: Streams served (warm-up included) after which the server's peak RSS
+#: is read.  The engines' pair memos grow with the documents served, so the
+#: peak is read after a fixed amount of work, not at a time that
+#: depends on speed.
+RSS_STREAMS = 8
 
 _BANNER = re.compile(rb"listening on ([0-9.]+):([0-9]+)")
 
@@ -159,9 +166,14 @@ def counter_total(snapshot: Dict, name: str) -> float:
     return sum(series["value"] for series in snapshot["counters"].get(name, ()))
 
 
-def engine_misses(snapshot: Dict) -> int:
-    """Pairs evaluated by every in-process engine (= memo entries added)."""
-    return sum(stats.get("misses", 0) for stats in snapshot["backends"].values())
+def engine_pairs(snapshot: Dict) -> Tuple[int, int]:
+    """``(hits, misses)`` of every in-process engine's pair memo.
+
+    A miss is one demanded ``(state, node)`` pair evaluated, and adds
+    one memo entry.
+    """
+    stats = snapshot["backends"].values()
+    return sum(s.get("hits", 0) for s in stats), sum(s.get("misses", 0) for s in stats)
 
 
 class PhaseDelta:
@@ -179,6 +191,12 @@ class PhaseDelta:
     def counter(self, name: str) -> float:
         return counter_total(self.after, name) - counter_total(self.before, name)
 
+    def engine_pairs(self) -> Tuple[int, int]:
+        """``(hits, misses)`` of the engines' pair memos between the scrapes."""
+        hits_after, misses_after = engine_pairs(self.after)
+        hits_before, misses_before = engine_pairs(self.before)
+        return hits_after - hits_before, misses_after - misses_before
+
 
 # ----------------------------------------------------------------------
 # Load generators
@@ -189,19 +207,24 @@ class PhaseDelta:
 class Phase:
     """One timed phase of load."""
 
-    #: Seconds per succeeded operation: a request, or for streams the
-    #: stream's wall time divided by its succeeded documents.
+    #: Client wall seconds per succeeded request (streams: per stream).
     latencies: List[float]
-    #: Succeeded operations (requests or documents).
+    #: Succeeded operations per second, one rate per window of at least
+    #: ``RATE_WINDOW_S`` (requests) or per stream (streams).
+    rates: List[float]
+    #: Succeeded operations (requests, or documents of streams).
     ops: int
-    #: Wall seconds of the whole phase.
+    #: Wall seconds of the phase; for streams, of the requests alone.
     wall: float
     #: Index of the first request (or stream) sent, and of the next one.
     first: int
     end: int
-    #: Streams only: ``(stream index, per-document success, wall
-    #: seconds)`` per stream sent.
-    streams: List[Tuple[int, List[bool], float]] = field(default_factory=list)
+    #: Streams only: ``(stream index, per-document success)`` per
+    #: stream sent.
+    streams: List[Tuple[int, List[bool]]] = field(default_factory=list)
+    #: Streams only: the server's peak RSS after ``RSS_STREAMS`` streams
+    #: (unset if the phase ended before).
+    rss_mb: Optional[float] = None
 
 
 def drive_requests(
@@ -212,12 +235,18 @@ def drive_requests(
     tally: Tally,
     first: int = 0,
 ) -> Phase:
-    """Closed loop, one ``transform`` at a time, for ``seconds``."""
+    """Closed loop, one ``transform`` at a time, for ``seconds``.
+
+    Throughput is taken per window of ``RATE_WINDOW_S``, so that its
+    median passes over the moments the host took the CPU away.
+    """
     latencies: List[float] = []
+    rates: List[float] = []
     index = first
     count = len(requests)
     clock = time.perf_counter
-    phase_started = clock()
+    phase_started = window_started = clock()
+    window_ops = 0
     deadline = phase_started + seconds
     while True:
         model, document = requests[index % count]
@@ -226,39 +255,53 @@ def drive_requests(
         finished = clock()
         if tally.check(expected[index % count], got):
             latencies.append(finished - started)
+            window_ops += 1
         index += 1
+        if finished - window_started >= RATE_WINDOW_S:
+            rates.append(window_ops / (finished - window_started))
+            window_started, window_ops = finished, 0
         if finished >= deadline:
-            return Phase(latencies, len(latencies), finished - phase_started, first, index)
+            wall = finished - phase_started
+            return Phase(latencies, rates or [len(latencies) / wall], len(latencies), wall, first, index)
 
 
 def drive_streams(
     client: ServerClient,
     model: str,
-    streams: Sequence[Tuple[bytes, List[str]]],
+    source,
     seconds: float,
     tally: Tally,
     first: int = 0,
+    rss_probe: Optional[Callable[[], float]] = None,
 ) -> Phase:
-    """Send ``transform_stream`` requests back to back for ``seconds``."""
-    phase = Phase([], 0, 0.0, first, first)
+    """Send ``transform_stream`` requests one after another for ``seconds``.
+
+    ``source.stream(index)`` gives the ``index``-th stream.  Only the
+    requests are timed: a stream made on first use is made before its
+    clock starts, and outputs are checked after it stops.  ``rss_probe``
+    is called once, at the first stream of the phase that ends at least
+    ``RSS_STREAMS`` streams after the server started.
+    """
+    phase = Phase([], [], 0, 0.0, first, first)
     clock = time.perf_counter
-    phase_started = clock()
-    deadline = phase_started + seconds
+    deadline = clock() + seconds
     while True:
-        stream_index = phase.end % len(streams)
-        body, expected = streams[stream_index]
+        stream = source.stream(phase.end)
         started = clock()
-        outcomes = client.transform_stream(model, body)
+        outcomes = client.transform_stream(model, stream.body)
         finished = clock()
-        if len(outcomes) != len(expected):
+        if len(outcomes) != len(stream.expected):
             raise RuntimeError(
-                f"stream answered {len(outcomes)} of {len(expected)} documents"
+                f"stream answered {len(outcomes)} of {len(stream.expected)} documents"
             )
-        succeeded = [tally.check(want, got) for want, got in zip(expected, outcomes)]
-        phase.latencies.append((finished - started) / max(1, sum(succeeded)))
+        succeeded = [tally.check(want, got) for want, got in zip(stream.expected, outcomes)]
+        phase.latencies.append(finished - started)
+        phase.rates.append(sum(succeeded) / (finished - started))
         phase.ops += sum(succeeded)
-        phase.streams.append((stream_index, succeeded, finished - started))
+        phase.wall += finished - started
+        phase.streams.append((phase.end, succeeded))
         phase.end += 1
-        if finished >= deadline:
-            phase.wall = finished - phase_started
+        if rss_probe is not None and phase.rss_mb is None and phase.end >= RSS_STREAMS:
+            phase.rss_mb = rss_probe()
+        if clock() >= deadline:
             return phase

@@ -1,12 +1,15 @@
 """The benchmark's own checks: wrong answers are counted, refusals too."""
 
 import os
+import random
+
+import pytest
 
 from repro.errors import OverloadedError
 from repro.server import ServerClient, ServerThread
 from repro.server.registry import ModelRegistry
 
-from perfbench import inputs, learn
+from perfbench import inputs, learn, replay
 from perfbench.common import Tally
 from perfbench.serving import drive_requests, fresh_models
 
@@ -53,3 +56,36 @@ def test_wrong_learned_machine_is_counted():
     assert not learn.check_learned(tally, wrong, canonical)
     assert (tally.attempted, tally.wrong) == (2, 1)
     assert not tally.correct
+
+
+def test_fresh_streams_are_seeded_and_match_the_interpreter(tmp_path):
+    registry = ModelRegistry(fresh_models(CHECKOUT, str(tmp_path / "models")))
+    try:
+        one = inputs.FreshStreams(random.Random(3), registry)
+        two = inputs.FreshStreams(random.Random(3), registry)
+        assert one.stream(1) == two.stream(1)
+        documents = one.stream(0).documents + one.stream(1).documents
+        assert len(set(documents)) == len(documents)
+        stream = one.stream(0)
+        for document, want in list(zip(stream.documents, stream.expected))[:24]:
+            assert inputs.reference_output(registry, inputs.FreshStreams.model, document) == want
+    finally:
+        registry.close()
+
+
+def test_replay_splits_a_batch_into_layers(tmp_path):
+    registry = ModelRegistry(fresh_models(CHECKOUT, str(tmp_path / "models")))
+    try:
+        registry.warm()
+        documents = ['{"user": "ada"}', '{"debug": true}']
+        expected = [inputs.reference_output(registry, "rename-json@1", doc) for doc in documents]
+        ledger = replay.Ledger()
+        replay.replay_batch(registry, "rename-json@1", documents, expected, ledger)
+        calls = dict(ledger.calls)
+        assert calls == {
+            "jsonio.parse": 2, "json.encode": 2, "execute": 1, "json.decode": 2, "render": 2, "origins": 1,
+        }
+        with pytest.raises(RuntimeError, match="diverged"):
+            replay.replay_batch(registry, "rename-json@1", documents, expected[::-1], ledger)
+    finally:
+        registry.close()

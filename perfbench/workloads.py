@@ -1,18 +1,19 @@
-"""The four workloads and the metrics each run reports.
+"""The five workloads and the metrics each run reports.
 
 Every workload reports every end-to-end metric; what an "operation" is
 depends on the workload (see ``README.md``):
 
 * ``interactive`` — one ``transform`` request;
-* ``bulk-json`` / ``bulk-xml`` — one document of a ``transform_stream``;
+* ``bulk-json`` / ``bulk-xml`` / ``bulk-fresh`` — one document of a
+  ``transform_stream`` (latency: one whole stream request);
 * ``learn`` — learning one target.
 
 A traced run (``trace=True``) spends the first half of its time exactly
 like an untraced run and the second half between two ``metrics``
-scrapes; the difference of the two halves' median latency is the
-tracing overhead.  The per-layer ledger then comes from the server's
-histogram deltas over the second half and from an in-process replay of
-the documents served in it.
+scrapes.  It sends the same requests as an untraced run; the scrapes
+and the replay add no work to them.  The per-layer ledger comes from the
+server's histogram and engine-counter deltas over the second half and
+from an in-process replay of the documents served in it.
 """
 
 from __future__ import annotations
@@ -34,21 +35,21 @@ from perfbench.serving import (
     boot_times,
     drive_requests,
     drive_streams,
-    engine_misses,
+    engine_pairs,
     fresh_models,
 )
 
 #: Server boots before and after the measured one in an untraced
 #: serving run; ``setup_s`` is the median of all of them.
-BOOTS_BEFORE = 3
-BOOTS_AFTER = 2
+BOOTS_BEFORE = 5
+BOOTS_AFTER = 4
 #: Seconds of unmeasured load before measuring (caches fill, lazy set-up).
 WARMUP_S = 0.5
 #: Fresh registry loads per traced run; the layer figures are medians.
 REGISTRY_LOADS = 3
 #: Seconds of layer replay a traced bulk run spends at most.
 REPLAY_BUDGET_S = 4.0
-STREAM_MODELS = {"bulk-json": "rename-json@1", "bulk-xml": "xmlflip@1"}
+STREAM_MODELS = {"bulk-json": "rename-json@1", "bulk-xml": "xmlflip@1", "bulk-fresh": "rename-json@1"}
 
 #: Every per-layer metric and its unit, in ledger order.
 LAYER_UNITS = {
@@ -69,6 +70,7 @@ LAYER_UNITS = {
     "origins.share": "share",
     "engine.execute_ms": "ms",
     "engine.pairs": "count",
+    "engine.memo_hit_share": "share",
     "render_ms": "ms",
     "pipeline.unattributed_ms": "ms",
     "engine.memo_entries": "count",
@@ -88,7 +90,6 @@ LAYER_UNITS = {
     "work.pairs_per_s": "1/s",
     "work.sample_pairs": "pairs",
     "work.sample_nodes": "nodes",
-    "trace.overhead_ms": "ms",
     "latency_p90_ms": "ms",
     "latency_p99_ms": "ms",
 }
@@ -113,11 +114,11 @@ def run(workload: str, seed: int, seconds: float, trace: bool, checkout: str, wo
     }
 
 
-def _end_to_end(setup: List[float], latencies_s: List[float], ops_per_s: float, tally: Tally, rss_mb: float) -> Dict:
+def _end_to_end(setup: List[float], latencies_s: List[float], rates: List[float], tally: Tally, rss_mb: float) -> Dict:
     return {
         "setup_s": metric(statistics.median(setup), "s"),
         "latency_p50_ms": metric(percentile(latencies_s, 50) * 1e3, "ms"),
-        "ops_per_s": metric(ops_per_s, "1/s"),
+        "ops_per_s": metric(statistics.median(rates), "1/s"),
         "ok_share": metric(tally.ok_share, "share"),
         "peak_rss_mb": metric(rss_mb, "MiB"),
     }
@@ -132,12 +133,13 @@ def _references(checkout: str, work_dir: str, pairs: List[Tuple[str, str]]) -> L
 
 
 def _serve(checkout: str, work_dir: str, seconds: float, trace: bool, drive: Callable) -> Dict:
-    """Boot, warm up, and run the load ``drive(client, seconds, first)``.
+    """Boot, warm up, and run the load ``drive(client, seconds, first, rss_probe)``.
 
     Untraced: one phase of ``seconds``; ``setup_s`` is the median of
     every boot, taken before and after the measured server so that the
-    median spans the run.  Traced: an untraced half, then a half between
-    two ``metrics`` scrapes.
+    median spans the run.  The server's peak RSS is read when the phase
+    asks (streams) or at its end (requests).  Traced: an untraced half,
+    then a half between two ``metrics`` scrapes.
     """
     session = {"setups": [] if trace else boot_times(checkout, work_dir, BOOTS_BEFORE)}
     server = ServerProcess(checkout, work_dir, "measured")
@@ -146,8 +148,8 @@ def _serve(checkout: str, work_dir: str, seconds: float, trace: bool, drive: Cal
         with server.client() as client:
             first = drive(client, WARMUP_S, 0).end
             if not trace:
-                session["phase"] = drive(client, seconds, first)
-                session["rss_mb"] = server.peak_rss_mb()
+                session["phase"] = phase = drive(client, seconds, first, server.peak_rss_mb)
+                session["rss_mb"] = phase.rss_mb or server.peak_rss_mb()
             else:
                 session["plain"] = plain = drive(client, seconds / 2, first)
                 with server.client() as admin:
@@ -163,7 +165,7 @@ def _serve(checkout: str, work_dir: str, seconds: float, trace: bool, drive: Cal
 
 def _untraced(session: Dict, tally: Tally) -> Dict:
     phase = session["phase"]
-    return _end_to_end(session["setups"], phase.latencies, phase.ops / phase.wall, tally, session["rss_mb"])
+    return _end_to_end(session["setups"], phase.latencies, phase.rates, tally, session["rss_mb"])
 
 
 def _traced(session: Dict, ledger: replay.Ledger, timings: Tuple[float, float], unattributed_ms: float) -> Dict:
@@ -177,9 +179,6 @@ def _traced(session: Dict, ledger: replay.Ledger, timings: Tuple[float, float], 
     metrics["registry.load_s"] = metric(timings[0], "s", REGISTRY_LOADS)
     metrics["registry.warm_s"] = metric(timings[1], "s", REGISTRY_LOADS)
     metrics["work.ops"] = metric(phase.ops, "count")
-    metrics["trace.overhead_ms"] = metric(
-        (percentile(phase.latencies, 50) - percentile(session["plain"].latencies, 50)) * 1e3, "ms"
-    )
     metrics.update(_tail(session["plain"].latencies))
     return metrics
 
@@ -206,7 +205,7 @@ def _interactive(seed: int, seconds: float, trace: bool, checkout: str, work_dir
     expected = _references(checkout, work_dir, requests)
     tally = Tally()
 
-    def drive(client, phase_seconds, first):
+    def drive(client, phase_seconds, first, rss_probe=None):
         return drive_requests(client, requests, expected, phase_seconds, tally, first)
 
     session = _serve(checkout, work_dir, seconds, trace, drive)
@@ -216,16 +215,9 @@ def _interactive(seed: int, seconds: float, trace: bool, checkout: str, work_dir
     load_s, warm_s, registry = replay.time_registry(checkout, work_dir, REGISTRY_LOADS)
     ledger = replay.Ledger()
     try:
-        # Everything the server saw, in order; only the traced phase counts.
-        for position in range(phase.end):
+        for position in range(phase.first, phase.end):
             model, document = requests[position % len(requests)]
-            replay.replay_batch(
-                registry,
-                model,
-                [document],
-                [expected[position % len(requests)]],
-                ledger if position >= phase.first else None,
-            )
+            replay.replay_batch(registry, model, [document], [expected[position % len(requests)]], ledger)
     finally:
         registry.close()
     request_count, request_sum = delta.histogram("repro_request_seconds")
@@ -241,47 +233,50 @@ def _interactive(seed: int, seconds: float, trace: bool, checkout: str, work_dir
 def _bulk(workload: str, seed: int, seconds: float, trace: bool, checkout: str, work_dir: str):
     model = STREAM_MODELS[workload]
     rng = random.Random(seed)
-    make = inputs.json_stream if workload == "bulk-json" else inputs.xml_stream
-    documents = [make(rng) for _ in range(inputs.BULK_STREAMS)]
-    flat = [(model, document) for stream in documents for document in stream]
-    references = iter(_references(checkout, work_dir, flat))
-    expected = [[next(references) for _ in stream] for stream in documents]
-    streams = [
-        (inputs.stream_body(model, stream), want) for stream, want in zip(documents, expected)
-    ]
+    registry = None
+    if workload == "bulk-fresh":
+        registry = ModelRegistry(fresh_models(checkout, os.path.join(work_dir, "reference")), jobs=1)
+        source = inputs.FreshStreams(rng, registry)
+    else:
+        make = inputs.json_stream if workload == "bulk-json" else inputs.xml_stream
+        documents = [make(rng) for _ in range(inputs.BULK_STREAMS)]
+        flat = [(model, document) for stream in documents for document in stream]
+        references = iter(_references(checkout, work_dir, flat))
+        expected = [[next(references) for _ in stream] for stream in documents]
+        source = inputs.StreamPool(model, documents, expected)
     tally = Tally()
 
-    def drive(client, phase_seconds, first):
-        return drive_streams(client, model, streams, phase_seconds, tally, first)
+    def drive(client, phase_seconds, first, rss_probe=None):
+        return drive_streams(client, model, source, phase_seconds, tally, first, rss_probe)
 
-    session = _serve(checkout, work_dir, seconds, trace, drive)
+    try:
+        session = _serve(checkout, work_dir, seconds, trace, drive)
+    finally:
+        if registry is not None:
+            registry.close()
     if not trace:
         return tally, _untraced(session, tally)
     phase, delta = session["phase"], session["delta"]
     load_s, warm_s, registry = replay.time_registry(checkout, work_dir, REGISTRY_LOADS)
     ledger = replay.Ledger()
     try:
-        # The server had seen every stream before the traced phase.
-        for stream, want in zip(documents, expected):
-            _replay_stream(registry, model, stream, want, [True] * len(want), None)
         deadline = time.perf_counter() + REPLAY_BUDGET_S
-        for stream_index, mask, _wall in phase.streams:
-            _replay_stream(registry, model, documents[stream_index], expected[stream_index], mask, ledger)
+        for stream_index, mask in phase.streams:
+            _replay_stream(registry, model, source.stream(stream_index), mask, ledger)
             if time.perf_counter() >= deadline:
                 break
     finally:
         registry.close()
-    # Per document: the client wall time no batch dispatch covers
+    # Per document: the request wall time no batch dispatch covers
     # (wire, stream parsing, admission, rendering, responses).
     _, dispatch_sum = delta.histogram("repro_dispatch_seconds")
-    stream_wall = sum(wall for _index, _mask, wall in phase.streams)
-    unattributed_ms = mean(stream_wall - dispatch_sum, phase.ops) * 1e3
+    unattributed_ms = mean(phase.wall - dispatch_sum, phase.ops) * 1e3
     return tally, _traced(session, ledger, (load_s, warm_s), unattributed_ms)
 
 
-def _replay_stream(registry, model, documents, expected, mask, ledger) -> None:
+def _replay_stream(registry, model, stream, mask, ledger) -> None:
     """Replay a stream's succeeded documents in batches of ``DEFAULT_MAX_BATCH``."""
-    kept = [(document, want) for document, want, ok in zip(documents, expected, mask) if ok]
+    kept = [(document, want) for document, want, ok in zip(stream.documents, stream.expected, mask) if ok]
     for start in range(0, len(kept), DEFAULT_MAX_BATCH):
         chunk = kept[start:start + DEFAULT_MAX_BATCH]
         replay.replay_batch(registry, model, [d for d, _ in chunk], [w for _, w in chunk], ledger)
@@ -296,12 +291,15 @@ def _server_layers(delta: PhaseDelta) -> Dict:
     queue_count, queue_sum = delta.histogram("repro_queue_wait_seconds")
     batch_count, batch_docs = delta.histogram("repro_batch_documents")
     dispatch_count, dispatch_sum = delta.histogram("repro_dispatch_seconds")
+    hits, misses = delta.engine_pairs()
     return {
         "batcher.queue_wait_ms": metric(mean(queue_sum, queue_count) * 1e3, "ms", queue_count),
         "batcher.batch_docs": metric(mean(batch_docs, batch_count), "docs", batch_count),
         "batcher.dispatch_ms": metric(mean(dispatch_sum, dispatch_count) * 1e3, "ms", dispatch_count),
         "batcher.overloads": metric(delta.counter("repro_overloads_total"), "count"),
-        "engine.memo_entries": metric(engine_misses(delta.after), "count"),
+        "engine.pairs": metric(mean(misses, batch_count), "count", batch_count),
+        "engine.memo_hit_share": metric(mean(hits, hits + misses), "share", hits + misses),
+        "engine.memo_entries": metric(engine_pairs(delta.after)[1], "count"),
     }
 
 
@@ -311,22 +309,23 @@ def _replay_layers(ledger: replay.Ledger, delta: PhaseDelta, docs_per_s: float) 
     metrics = {}
     for layer in ("term.parse", "xmlio.parse", "jsonio.parse", "xml.encode", "xml.decode", "json.encode", "json.decode"):
         metrics[f"{layer}_ms"] = metric(ledger.mean_ms(layer), "ms", ledger.calls.get(layer, 0))
-    metrics["origins.apply_ms"] = metric(ledger.mean_ms("origins"), "ms", ledger.calls.get("origins", 0))
-    metrics["origins.share"] = metric(mean(ledger.calls.get("origins", 0), documents), "share", documents)
-    executes = ledger.calls.get("execute", 0)
-    metrics["engine.execute_ms"] = metric(ledger.mean_ms("execute"), "ms", executes)
-    metrics["engine.pairs"] = metric(mean(counts["pairs"], executes), "count", executes)
+    origins = ledger.calls.get("origins", 0)
+    metrics["origins.apply_ms"] = metric(ledger.mean_ms("origins"), "ms", origins)
+    metrics["origins.share"] = metric(mean(origins, documents), "share", documents)
+    metrics["engine.execute_ms"] = metric(ledger.mean_ms("execute"), "ms", ledger.calls.get("execute", 0))
     metrics["render_ms"] = metric(ledger.mean_ms("render"), "ms", ledger.calls.get("render", 0))
     dispatch_count, dispatch_sum = delta.histogram("repro_dispatch_seconds")
     replayed_per_batch = mean(replay.dispatch_seconds(ledger), counts["batches"])
     metrics["pipeline.unattributed_ms"] = metric(
         (mean(dispatch_sum, dispatch_count) - replayed_per_batch) * 1e3, "ms", counts["batches"]
     )
+    # Served documents of the phase, for the server's pair counts.
+    _, served = delta.histogram("repro_batch_documents")
     dag_per_doc = mean(counts["dag_nodes"], documents)
-    pairs_per_doc = mean(counts["pairs"], documents)
+    pairs_per_doc = mean(delta.engine_pairs()[1], served)
     metrics["work.encoded_nodes"] = metric(mean(counts["encoded_nodes"], documents), "nodes", documents)
     metrics["work.dag_nodes"] = metric(dag_per_doc, "nodes", documents)
-    metrics["work.pairs"] = metric(pairs_per_doc, "pairs", documents)
+    metrics["work.pairs"] = metric(pairs_per_doc, "pairs", served)
     metrics["work.dag_nodes_per_s"] = metric(dag_per_doc * docs_per_s, "1/s")
     metrics["work.pairs_per_s"] = metric(pairs_per_doc * docs_per_s, "1/s")
     return metrics
@@ -343,11 +342,11 @@ def _learn(seed: int, seconds: float, trace: bool):
     # Warm-up: one batch, so imports and module set-up are not timed.
     learn.run_phase(targets, 0.0, tally)
     if not trace:
-        latencies, setups, rss_mb = learn.run_phase(targets, seconds, tally)
-        return tally, _end_to_end(setups, latencies, len(latencies) / sum(latencies), tally, rss_mb)
-    plain, _, _ = learn.run_phase(targets, seconds / 2, tally)
+        latencies, rates, setups, rss_mb = learn.run_phase(targets, seconds, tally)
+        return tally, _end_to_end(setups, latencies, rates, tally, rss_mb)
+    plain, _, _, _ = learn.run_phase(targets, seconds / 2, tally)
     timings = learn.new_timings()
-    traced, _, _ = learn.run_phase(targets, seconds / 2, tally, timings)
+    traced, _, _, _ = learn.run_phase(targets, seconds / 2, tally, timings)
     count = len(timings["rpni"])
     rpni_total = sum(timings["rpni"])
     metrics = {
@@ -362,7 +361,6 @@ def _learn(seed: int, seconds: float, trace: bool):
         "work.ops": metric(len(traced), "count"),
         "work.sample_pairs": metric(mean(sum(timings["pairs"]), count), "pairs", count),
         "work.sample_nodes": metric(mean(sum(timings["nodes"]), count), "nodes", count),
-        "trace.overhead_ms": metric((percentile(traced, 50) - percentile(plain, 50)) * 1e3, "ms"),
         **_tail(plain),
     }
     return tally, metrics
