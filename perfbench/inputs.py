@@ -9,9 +9,10 @@ Each served document gets its expected output from an independent path
 (the ``DTOP.apply`` interpreter, or the local pipeline, which runs the
 origin-tracking interpreter) and, where the repository has one, from a
 plain-Python reference as well.  The two must agree; the served output
-is then compared with them byte for byte.  ``bulk-fresh`` documents are
-made while the run goes on, so there the plain-Python reference checks
-every document and the interpreter every ``FRESH_CROSS_CHECK``-th one.
+is then compared with them byte for byte.  The fresh ``bulk`` documents
+are made while the run goes on, so there the plain-Python reference
+checks every document and the interpreter every ``FRESH_CROSS_CHECK``-th
+one.
 """
 
 from __future__ import annotations
@@ -48,22 +49,22 @@ STOCK_MODELS = (
 #: Distinct documents generated per model for ``interactive``.
 INTERACTIVE_DOCS_PER_MODEL = 240
 
-#: Documents in one ``bulk-json`` stream: above the server's default
+#: The kinds of ``bulk`` stream, in the order one cycle sends them.
+BULK_KINDS = ("json", "xml", "fresh")
+#: Documents in one JSON stream: above the server's default
 #: ``--max-pending`` of 1024, as a batch client would send.
 JSON_STREAM_DOCS = 2000
-#: Documents in one ``bulk-xml`` stream (two full batches of 32).
+#: Documents in one XML stream (two full batches of 32).
 XML_STREAM_DOCS = 64
-#: Children per ``bulk-xml`` document.
+#: Children per XML stream document.
 XML_STREAM_CHILDREN = (10, 40)
-#: Streams generated per ``bulk-json``/``bulk-xml`` run; the run cycles
-#: over them.
+#: JSON and XML streams generated per run; the run cycles over them.
 BULK_STREAMS = 2
-#: Documents in one ``bulk-fresh`` stream (eight full batches of 32),
-#: below ``--max-pending``.
+#: Documents in one fresh stream (eight full batches of 32), below
+#: ``--max-pending``.
 FRESH_STREAM_DOCS = 256
-#: Every ``FRESH_CROSS_CHECK``-th ``bulk-fresh`` document is also run
-#: through the local pipeline, which must agree with the plain-Python
-#: reference.
+#: Every ``FRESH_CROSS_CHECK``-th fresh document is also run through the
+#: local pipeline, which must agree with the plain-Python reference.
 FRESH_CROSS_CHECK = 8
 
 #: Keys that ``rename-json@1`` cannot collide on: a document holding
@@ -202,12 +203,12 @@ def interactive_requests(rng: random.Random) -> List[Tuple[str, str]]:
 
 
 def json_stream(rng: random.Random) -> List[str]:
-    """A ``bulk-json`` stream: scalar-carrying config documents."""
+    """A JSON stream: scalar-carrying config documents."""
     return [json_document(rng, scalars=True) for _ in range(JSON_STREAM_DOCS)]
 
 
 def xml_stream(rng: random.Random) -> List[str]:
-    """A ``bulk-xml`` stream: wide, value-free ``xmlflip`` documents.
+    """An XML stream: wide, value-free ``xmlflip`` documents.
 
     An ``xmlflip`` document has no content but its number of ``a`` and
     ``b`` children.  Every stream holds the same widths and a/b splits
@@ -249,17 +250,19 @@ def stream_body(model: str, documents: List[str]) -> bytes:
 class Stream(NamedTuple):
     """One ``transform_stream`` request and its expected outputs."""
 
+    kind: str
+    model: str
     documents: List[str]
     body: bytes
     expected: List[str]
 
 
 class StreamPool:
-    """The streams of a ``bulk-json``/``bulk-xml`` run, cycled by index."""
+    """The JSON or XML streams of a ``bulk`` run, cycled by index."""
 
-    def __init__(self, model: str, documents: List[List[str]], expected: List[List[str]]):
+    def __init__(self, kind: str, model: str, documents: List[List[str]], expected: List[List[str]]):
         self.streams = [
-            Stream(stream, stream_body(model, stream), want)
+            Stream(kind, model, stream, stream_body(model, stream), want)
             for stream, want in zip(documents, expected)
         ]
 
@@ -268,7 +271,7 @@ class StreamPool:
 
 
 class FreshStreams:
-    """The streams of a ``bulk-fresh`` run: new documents for every index.
+    """The fresh streams of a ``bulk`` run: new documents for every index.
 
     Each document is a scalar-free config for ``rename-json@1``, three
     levels deep.  Scalar-free documents take the compiled engine, and
@@ -301,7 +304,22 @@ class FreshStreams:
                 want = serialize_json(jsonwl.reference_rename(value))
             documents.append(document)
             expected.append(want)
-        return Stream(documents, stream_body(self.model, documents), expected)
+        return Stream("fresh", self.model, documents, stream_body(self.model, documents), expected)
+
+
+class BulkStreams:
+    """Every stream of a ``bulk`` run: one of each kind in turn.
+
+    Stream ``index`` is of kind ``BULK_KINDS[index % 3]``; three streams
+    in a row, starting at a multiple of 3, make one cycle.
+    """
+
+    def __init__(self, pools: Dict[str, object]):
+        self.pools = pools
+
+    def stream(self, index: int) -> Stream:
+        cycle, position = divmod(index, len(BULK_KINDS))
+        return self.pools[BULK_KINDS[position]].stream(cycle)
 
 
 # ----------------------------------------------------------------------

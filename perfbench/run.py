@@ -22,7 +22,7 @@ import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 CHECKOUT = os.path.dirname(HERE)
-WORKLOADS = ("interactive", "bulk-json", "bulk-xml", "bulk-fresh", "learn")
+WORKLOADS = ("interactive", "bulk", "learn")
 
 
 def parse_args(argv):

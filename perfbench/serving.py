@@ -24,16 +24,17 @@ from repro.errors import ReproError
 from repro.server.client import ServerClient
 
 from perfbench.common import Tally, peak_rss_mb
+from perfbench.inputs import BULK_KINDS, BulkStreams, Stream
 
 #: Seconds a server may take from launch to its first ``health``.
 BOOT_TIMEOUT_S = 60.0
 #: Seconds of closed-loop requests per throughput window.
 RATE_WINDOW_S = 1.0
 #: Streams served (warm-up included) after which the server's peak RSS
-#: is read.  The engines' pair memos grow with the documents served, so the
-#: peak is read after a fixed amount of work, not at a time that
-#: depends on speed.
-RSS_STREAMS = 8
+#: is read: four cycles.  The engines' pair memos grow with the documents
+#: served, so the peak is read after a fixed amount of work, not at a
+#: time that depends on speed.
+RSS_STREAMS = 12
 
 _BANNER = re.compile(rb"listening on ([0-9.]+):([0-9]+)")
 
@@ -207,10 +208,11 @@ class PhaseDelta:
 class Phase:
     """One timed phase of load."""
 
-    #: Client wall seconds per succeeded request (streams: per stream).
+    #: Client wall seconds per succeeded request; for streams, per cycle
+    #: (one stream of each kind).
     latencies: List[float]
     #: Succeeded operations per second, one rate per window of at least
-    #: ``RATE_WINDOW_S`` (requests) or per stream (streams).
+    #: ``RATE_WINDOW_S`` (requests) or per cycle (streams).
     rates: List[float]
     #: Succeeded operations (requests, or documents of streams).
     ops: int
@@ -219,9 +221,9 @@ class Phase:
     #: Index of the first request (or stream) sent, and of the next one.
     first: int
     end: int
-    #: Streams only: ``(stream index, per-document success)`` per
-    #: stream sent.
-    streams: List[Tuple[int, List[bool]]] = field(default_factory=list)
+    #: Streams only: ``(stream, per-document success, request seconds)``
+    #: per stream sent.
+    streams: List[Tuple[Stream, List[bool], float]] = field(default_factory=list)
     #: Streams only: the server's peak RSS after ``RSS_STREAMS`` streams
     #: (unset if the phase ended before).
     rss_mb: Optional[float] = None
@@ -267,8 +269,7 @@ def drive_requests(
 
 def drive_streams(
     client: ServerClient,
-    model: str,
-    source,
+    source: BulkStreams,
     seconds: float,
     tally: Tally,
     first: int = 0,
@@ -276,32 +277,39 @@ def drive_streams(
 ) -> Phase:
     """Send ``transform_stream`` requests one after another for ``seconds``.
 
-    ``source.stream(index)`` gives the ``index``-th stream.  Only the
-    requests are timed: a stream made on first use is made before its
-    clock starts, and outputs are checked after it stops.  ``rss_probe``
-    is called once, at the first stream of the phase that ends at least
-    ``RSS_STREAMS`` streams after the server started.
+    ``source.stream(index)`` gives the ``index``-th stream; ``first``
+    starts a cycle, and the phase ends with one, so every cycle sends one
+    stream of each kind.  Only the requests are timed: a stream made on
+    first use is made before its clock starts, and outputs are checked
+    after it stops.  ``rss_probe`` is called once, at the first stream of
+    the phase that ends at least ``RSS_STREAMS`` streams after the server
+    started.
     """
     phase = Phase([], [], 0, 0.0, first, first)
     clock = time.perf_counter
     deadline = clock() + seconds
+    cycle_seconds, cycle_ok = 0.0, 0
     while True:
         stream = source.stream(phase.end)
         started = clock()
-        outcomes = client.transform_stream(model, stream.body)
+        outcomes = client.transform_stream(stream.model, stream.body)
         finished = clock()
         if len(outcomes) != len(stream.expected):
             raise RuntimeError(
                 f"stream answered {len(outcomes)} of {len(stream.expected)} documents"
             )
         succeeded = [tally.check(want, got) for want, got in zip(stream.expected, outcomes)]
-        phase.latencies.append(finished - started)
-        phase.rates.append(sum(succeeded) / (finished - started))
+        cycle_seconds += finished - started
+        cycle_ok += sum(succeeded)
         phase.ops += sum(succeeded)
         phase.wall += finished - started
-        phase.streams.append((phase.end, succeeded))
+        phase.streams.append((stream, succeeded, finished - started))
         phase.end += 1
         if rss_probe is not None and phase.rss_mb is None and phase.end >= RSS_STREAMS:
             phase.rss_mb = rss_probe()
-        if clock() >= deadline:
-            return phase
+        if phase.end % len(BULK_KINDS) == 0:
+            phase.latencies.append(cycle_seconds)
+            phase.rates.append(cycle_ok / cycle_seconds)
+            cycle_seconds, cycle_ok = 0.0, 0
+            if clock() >= deadline:
+                return phase

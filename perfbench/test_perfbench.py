@@ -11,7 +11,7 @@ from repro.server.registry import ModelRegistry
 
 from perfbench import inputs, learn, replay
 from perfbench.common import Tally
-from perfbench.serving import drive_requests, fresh_models
+from perfbench.serving import drive_requests, drive_streams, fresh_models
 
 CHECKOUT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -71,6 +71,30 @@ def test_fresh_streams_are_seeded_and_match_the_interpreter(tmp_path):
             assert inputs.reference_output(registry, inputs.FreshStreams.model, document) == want
     finally:
         registry.close()
+
+
+def test_bulk_phase_sends_whole_cycles(tmp_path):
+    models = fresh_models(CHECKOUT, str(tmp_path / "models"))
+    registry = ModelRegistry(models)
+    try:
+        pools = {}
+        for kind, model, documents in (
+            ("json", "rename-json@1", ['{"user": "ada"}', '{"debug": true}']),
+            ("xml", "xmlflip@1", ["<root><a/><b/><b/></root>"]),
+        ):
+            expected = [inputs.reference_output(registry, model, d) for d in documents]
+            pools[kind] = inputs.StreamPool(kind, model, [documents], [expected])
+        pools["fresh"] = inputs.FreshStreams(random.Random(4), registry)
+        source = inputs.BulkStreams(pools)
+        tally = Tally()
+        with ServerThread(models) as handle, ServerClient(handle.host, handle.port) as client:
+            phase = drive_streams(client, source, 0.0, tally)
+    finally:
+        registry.close()
+    assert [stream.kind for stream, _, _ in phase.streams] == list(inputs.BULK_KINDS)
+    assert (phase.end, len(phase.latencies), len(phase.rates)) == (3, 1, 1)
+    assert phase.ops == tally.ok == tally.attempted == 2 + 1 + inputs.FRESH_STREAM_DOCS
+    assert phase.latencies[0] == pytest.approx(sum(seconds for _, _, seconds in phase.streams))
 
 
 def test_replay_splits_a_batch_into_layers(tmp_path):

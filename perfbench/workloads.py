@@ -1,11 +1,11 @@
-"""The five workloads and the metrics each run reports.
+"""The three workloads and the metrics each run reports.
 
 Every workload reports every end-to-end metric; what an "operation" is
 depends on the workload (see ``README.md``):
 
 * ``interactive`` — one ``transform`` request;
-* ``bulk-json`` / ``bulk-xml`` / ``bulk-fresh`` — one document of a
-  ``transform_stream`` (latency: one whole stream request);
+* ``bulk`` — one document of a ``transform_stream`` (latency: one cycle
+  of three stream requests, one of each kind);
 * ``learn`` — learning one target.
 
 A traced run (``trace=True``) spends the first half of its time exactly
@@ -47,9 +47,12 @@ BOOTS_AFTER = 4
 WARMUP_S = 0.5
 #: Fresh registry loads per traced run; the layer figures are medians.
 REGISTRY_LOADS = 3
-#: Seconds of layer replay a traced bulk run spends at most.
-REPLAY_BUDGET_S = 4.0
-STREAM_MODELS = {"bulk-json": "rename-json@1", "bulk-xml": "xmlflip@1", "bulk-fresh": "rename-json@1"}
+#: Seconds of layer replay a traced bulk run spends at most; the
+#: replay stops at the first cycle boundary past it.
+REPLAY_BUDGET_S = 6.0
+#: The model of the pooled ``bulk`` streams (fresh streams: see
+#: ``inputs.FreshStreams``).
+STREAM_MODELS = {"json": "rename-json@1", "xml": "xmlflip@1"}
 
 #: Every per-layer metric and its unit, in ledger order.
 LAYER_UNITS = {
@@ -92,6 +95,10 @@ LAYER_UNITS = {
     "work.sample_nodes": "nodes",
     "latency_p90_ms": "ms",
     "latency_p99_ms": "ms",
+    "ops_per_s": "1/s",
+    "stream.json_docs_per_s": "1/s",
+    "stream.xml_docs_per_s": "1/s",
+    "stream.fresh_docs_per_s": "1/s",
 }
 
 
@@ -101,7 +108,7 @@ def run(workload: str, seed: int, seconds: float, trace: bool, checkout: str, wo
     elif workload == "interactive":
         tally, metrics = _interactive(seed, seconds, trace, checkout, work_dir)
     else:
-        tally, metrics = _bulk(workload, seed, seconds, trace, checkout, work_dir)
+        tally, metrics = _bulk(seed, seconds, trace, checkout, work_dir)
     if trace:
         # Layers a workload does not exercise did no work: 0, with 0 calls.
         for name, unit in LAYER_UNITS.items():
@@ -114,11 +121,10 @@ def run(workload: str, seed: int, seconds: float, trace: bool, checkout: str, wo
     }
 
 
-def _end_to_end(setup: List[float], latencies_s: List[float], rates: List[float], tally: Tally, rss_mb: float) -> Dict:
+def _end_to_end(setup: List[float], latencies_s: List[float], tally: Tally, rss_mb: float) -> Dict:
     return {
         "setup_s": metric(statistics.median(setup), "s"),
         "latency_p50_ms": metric(percentile(latencies_s, 50) * 1e3, "ms"),
-        "ops_per_s": metric(statistics.median(rates), "1/s"),
         "ok_share": metric(tally.ok_share, "share"),
         "peak_rss_mb": metric(rss_mb, "MiB"),
     }
@@ -165,7 +171,7 @@ def _serve(checkout: str, work_dir: str, seconds: float, trace: bool, drive: Cal
 
 def _untraced(session: Dict, tally: Tally) -> Dict:
     phase = session["phase"]
-    return _end_to_end(session["setups"], phase.latencies, phase.rates, tally, session["rss_mb"])
+    return _end_to_end(session["setups"], phase.latencies, tally, session["rss_mb"])
 
 
 def _traced(session: Dict, ledger: replay.Ledger, timings: Tuple[float, float], unattributed_ms: float) -> Dict:
@@ -179,19 +185,24 @@ def _traced(session: Dict, ledger: replay.Ledger, timings: Tuple[float, float], 
     metrics["registry.load_s"] = metric(timings[0], "s", REGISTRY_LOADS)
     metrics["registry.warm_s"] = metric(timings[1], "s", REGISTRY_LOADS)
     metrics["work.ops"] = metric(phase.ops, "count")
-    metrics.update(_tail(session["plain"].latencies))
+    metrics.update(_untraced_half(session["plain"].latencies, session["plain"].rates))
     return metrics
 
 
-def _tail(latencies_s: List[float]) -> Dict:
-    """Tail latencies of the untraced half of a traced run.
+def _untraced_half(latencies_s: List[float], rates: List[float]) -> Dict:
+    """Tail latencies and throughput of the untraced half of a traced run.
 
     They are ledger figures, not end-to-end ones: on a shared host they
-    count how often the host took the CPU away (see README.md, "Noise").
+    count how often the host took the CPU away, and throughput is also
+    ``latency_p50_ms`` again wherever every operation has a fixed size
+    (see README.md, "Noise").
     """
     return {
-        f"latency_p{p}_ms": metric(percentile(latencies_s, p) * 1e3, "ms", len(latencies_s))
-        for p in (90, 99)
+        **{
+            f"latency_p{p}_ms": metric(percentile(latencies_s, p) * 1e3, "ms", len(latencies_s))
+            for p in (90, 99)
+        },
+        "ops_per_s": metric(statistics.median(rates), "1/s", len(rates)),
     }
 
 
@@ -226,34 +237,30 @@ def _interactive(seed: int, seconds: float, trace: bool, checkout: str, work_dir
 
 
 # ----------------------------------------------------------------------
-# bulk-json / bulk-xml
+# bulk
 # ----------------------------------------------------------------------
 
 
-def _bulk(workload: str, seed: int, seconds: float, trace: bool, checkout: str, work_dir: str):
-    model = STREAM_MODELS[workload]
+def _bulk(seed: int, seconds: float, trace: bool, checkout: str, work_dir: str):
     rng = random.Random(seed)
-    registry = None
-    if workload == "bulk-fresh":
-        registry = ModelRegistry(fresh_models(checkout, os.path.join(work_dir, "reference")), jobs=1)
-        source = inputs.FreshStreams(rng, registry)
-    else:
-        make = inputs.json_stream if workload == "bulk-json" else inputs.xml_stream
-        documents = [make(rng) for _ in range(inputs.BULK_STREAMS)]
-        flat = [(model, document) for stream in documents for document in stream]
-        references = iter(_references(checkout, work_dir, flat))
-        expected = [[next(references) for _ in stream] for stream in documents]
-        source = inputs.StreamPool(model, documents, expected)
-    tally = Tally()
-
-    def drive(client, phase_seconds, first, rss_probe=None):
-        return drive_streams(client, model, source, phase_seconds, tally, first, rss_probe)
-
+    registry = ModelRegistry(fresh_models(checkout, os.path.join(work_dir, "reference")), jobs=1)
     try:
+        pools = {}
+        for kind, make in (("json", inputs.json_stream), ("xml", inputs.xml_stream)):
+            model = STREAM_MODELS[kind]
+            documents = [make(rng) for _ in range(inputs.BULK_STREAMS)]
+            expected = [[inputs.reference_output(registry, model, d) for d in stream] for stream in documents]
+            pools[kind] = inputs.StreamPool(kind, model, documents, expected)
+        pools["fresh"] = inputs.FreshStreams(rng, registry)
+        source = inputs.BulkStreams(pools)
+        tally = Tally()
+
+        def drive(client, phase_seconds, first, rss_probe=None):
+            return drive_streams(client, source, phase_seconds, tally, first, rss_probe)
+
         session = _serve(checkout, work_dir, seconds, trace, drive)
     finally:
-        if registry is not None:
-            registry.close()
+        registry.close()
     if not trace:
         return tally, _untraced(session, tally)
     phase, delta = session["phase"], session["delta"]
@@ -261,9 +268,9 @@ def _bulk(workload: str, seed: int, seconds: float, trace: bool, checkout: str, 
     ledger = replay.Ledger()
     try:
         deadline = time.perf_counter() + REPLAY_BUDGET_S
-        for stream_index, mask in phase.streams:
-            _replay_stream(registry, model, source.stream(stream_index), mask, ledger)
-            if time.perf_counter() >= deadline:
+        for position, (stream, mask, _) in enumerate(phase.streams, 1):
+            _replay_stream(registry, stream, mask, ledger)
+            if position % len(inputs.BULK_KINDS) == 0 and time.perf_counter() >= deadline:
                 break
     finally:
         registry.close()
@@ -271,15 +278,29 @@ def _bulk(workload: str, seed: int, seconds: float, trace: bool, checkout: str, 
     # (wire, stream parsing, admission, rendering, responses).
     _, dispatch_sum = delta.histogram("repro_dispatch_seconds")
     unattributed_ms = mean(phase.wall - dispatch_sum, phase.ops) * 1e3
-    return tally, _traced(session, ledger, (load_s, warm_s), unattributed_ms)
+    metrics = _traced(session, ledger, (load_s, warm_s), unattributed_ms)
+    metrics.update(_kind_rates(session["plain"]))
+    return tally, metrics
 
 
-def _replay_stream(registry, model, stream, mask, ledger) -> None:
+def _replay_stream(registry, stream, mask, ledger) -> None:
     """Replay a stream's succeeded documents in batches of ``DEFAULT_MAX_BATCH``."""
     kept = [(document, want) for document, want, ok in zip(stream.documents, stream.expected, mask) if ok]
     for start in range(0, len(kept), DEFAULT_MAX_BATCH):
         chunk = kept[start:start + DEFAULT_MAX_BATCH]
-        replay.replay_batch(registry, model, [d for d, _ in chunk], [w for _, w in chunk], ledger)
+        replay.replay_batch(registry, stream.model, [d for d, _ in chunk], [w for _, w in chunk], ledger)
+
+
+def _kind_rates(phase) -> Dict:
+    """Succeeded documents per second of each stream kind, median over
+    the streams of the untraced half: the ``bulk`` throughput split."""
+    rates: Dict[str, List[float]] = {kind: [] for kind in inputs.BULK_KINDS}
+    for stream, mask, seconds in phase.streams:
+        rates[stream.kind].append(sum(mask) / seconds)
+    return {
+        f"stream.{kind}_docs_per_s": metric(statistics.median(values), "1/s", len(values))
+        for kind, values in rates.items()
+    }
 
 
 # ----------------------------------------------------------------------
@@ -342,9 +363,9 @@ def _learn(seed: int, seconds: float, trace: bool):
     # Warm-up: one batch, so imports and module set-up are not timed.
     learn.run_phase(targets, 0.0, tally)
     if not trace:
-        latencies, rates, setups, rss_mb = learn.run_phase(targets, seconds, tally)
-        return tally, _end_to_end(setups, latencies, rates, tally, rss_mb)
-    plain, _, _, _ = learn.run_phase(targets, seconds / 2, tally)
+        latencies, _, setups, rss_mb = learn.run_phase(targets, seconds, tally)
+        return tally, _end_to_end(setups, latencies, tally, rss_mb)
+    plain, plain_rates, _, _ = learn.run_phase(targets, seconds / 2, tally)
     timings = learn.new_timings()
     traced, _, _, _ = learn.run_phase(targets, seconds / 2, tally, timings)
     count = len(timings["rpni"])
@@ -361,7 +382,7 @@ def _learn(seed: int, seconds: float, trace: bool):
         "work.ops": metric(len(traced), "count"),
         "work.sample_pairs": metric(mean(sum(timings["pairs"]), count), "pairs", count),
         "work.sample_nodes": metric(mean(sum(timings["nodes"]), count), "nodes", count),
-        **_tail(plain),
+        **_untraced_half(plain, plain_rates),
     }
     return tally, metrics
 
