@@ -110,7 +110,7 @@ def test_e17_p99_slo_under_sustained_load_and_faults(benchmark, tmp_path):
 
     with poison_label() as poison:
         with ServerThread(
-            tmp_path, jobs=2, max_wait_ms=2.0, **SUPERVISION
+            tmp_path, jobs=2, **SUPERVISION
         ) as handle:
             # -- phase (a): steady state --------------------------------
             elapsed = benchmark.pedantic(

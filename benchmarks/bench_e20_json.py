@@ -122,7 +122,7 @@ def test_e20_served_json_matches_local(benchmark, tmp_path):
     ]
 
     def race():
-        with ServerThread(models, max_wait_ms=2.0, max_batch=16) as handle:
+        with ServerThread(models, max_batch=16) as handle:
             with ServerClient(handle.host, handle.port) as client:
                 got = [
                     client.transform("rename-json@1", text)

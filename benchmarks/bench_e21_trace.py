@@ -94,7 +94,7 @@ def _measure(tmp_path, **server_kwargs):
     events = []
     log = EventLog(enabled=True).add_sink(events.append)
     with ServerThread(
-        tmp_path, max_wait_ms=2.0, max_batch=16, events=log, **server_kwargs
+        tmp_path, max_batch=16, events=log, **server_kwargs
     ) as handle:
         elapsed, latencies = _drive(handle.host, handle.port)
         with ServerClient(handle.host, handle.port) as client:
@@ -171,7 +171,7 @@ def test_e21_profiler_reports_the_hot_rules_of_a_stock_pipeline(
     def race():
         # Serial server: the profiled engine runs in-process (sharded
         # workers profile in their own processes — documented caveat).
-        with ServerThread(models, max_wait_ms=2.0) as handle:
+        with ServerThread(models) as handle:
             with ServerClient(handle.host, handle.port) as client:
                 start = time.perf_counter()
                 for text in texts:

@@ -311,11 +311,13 @@ def serve_forever(
     """Serve every model under ``models_dir`` over TCP until interrupted.
 
     The network face of the library: loads ``NAME@VERSION.json``
-    artifacts (raw transducers and XML transformation bundles), coalesces
-    concurrent requests into micro-batches, and shards each model across
-    ``jobs`` worker processes.  Extra ``knobs`` — ``max_batch``,
-    ``max_wait_ms``, ``max_pending``, ``stats``, ``metrics``,
-    ``log_json``, ``backend`` — are forwarded to
+    artifacts (raw transducers and XML transformation bundles), batches
+    concurrent requests by group commit (a lone request dispatches at
+    once; arrivals during a dispatch leave together as the next batch),
+    and shards each model across ``jobs`` worker processes.  Extra
+    ``knobs`` — ``max_batch``, ``max_pending``, ``stats``, ``metrics``,
+    ``log_json``, ``backend``, ``warm``, ``trace_sample_rate``,
+    ``slow_ms`` — are forwarded to
     :func:`repro.server.app.serve_forever`.  Blocks; returns the exit
     code.
     """

@@ -645,15 +645,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_server(args: argparse.Namespace) -> int:
     from repro.server import serve_forever
+    from repro.server.batcher import DEFAULT_MAX_BATCH, DEFAULT_MAX_PENDING
 
+    # The knobs default to the batcher's own constants, imported here so
+    # that every other command skips loading the server package.
     return serve_forever(
         args.models,
         host=args.host,
         port=args.port,
         jobs=args.jobs,
-        max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
-        max_pending=args.max_pending,
+        max_batch=DEFAULT_MAX_BATCH if args.max_batch is None else args.max_batch,
+        max_pending=(
+            DEFAULT_MAX_PENDING if args.max_pending is None else args.max_pending
+        ),
         stats=args.stats,
         metrics=args.metrics,
         log_json=args.log_json,
@@ -934,20 +938,15 @@ def build_parser() -> argparse.ArgumentParser:
     server.add_argument(
         "--max-batch",
         type=int,
-        default=32,
-        help="documents per coalesced micro-batch (1 disables batching)",
-    )
-    server.add_argument(
-        "--max-wait-ms",
-        type=float,
-        default=2.0,
-        help="bound on the wait a request pays to coalesce",
+        help="most documents per batch; requests arriving during a "
+        "dispatch leave together as the next batch (1 disables batching; "
+        "default: repro.server.batcher.DEFAULT_MAX_BATCH)",
     )
     server.add_argument(
         "--max-pending",
         type=int,
-        default=1024,
-        help="admitted-request bound before overload responses",
+        help="admitted-request bound before overload responses "
+        "(default: repro.server.batcher.DEFAULT_MAX_PENDING)",
     )
     server.add_argument(
         "--stats",

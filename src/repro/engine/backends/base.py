@@ -46,7 +46,9 @@ class BackendEngine:
 
     def __init__(self, compiled: CompiledDTOP):
         self.compiled = compiled
-        self._stats: Dict[str, int] = {"hits": 0, "misses": 0, "batches": 0}
+        self._stats: Dict[str, int] = {
+            "hits": 0, "misses": 0, "batches": 0, "resets": 0
+        }
         self._profile = new_profile(len(compiled.rule_templates))
         # Most machines have an axiom that is one bare state call on the
         # root; remember its state id so outcome assembly is a plain
@@ -71,7 +73,7 @@ class BackendEngine:
         raise NotImplementedError
 
     def memo_size(self) -> int:
-        """Number of memoized pairs (drives the worker memo cap)."""
+        """Number of memoized pairs (what :meth:`trim_memo` bounds)."""
         raise NotImplementedError
 
     def _drop_memo(self) -> None:
@@ -217,12 +219,24 @@ class BackendEngine:
             "backend": self.backend,
         }
 
+    def trim_memo(self, limit: int) -> bool:
+        """Drop the pair memo if it holds more than ``limit`` pairs.
+
+        Same contract as :meth:`repro.engine.execute.Engine.trim_memo`:
+        counts one ``resets``, leaves every other counter alone, and
+        returns whether it dropped.
+        """
+        if self.memo_size() <= limit:
+            return False
+        self._drop_memo()
+        self._stats["resets"] += 1
+        return True
+
     def clear_cache(self) -> None:
         """Drop the persistent pair memo and zero the counters."""
         self._drop_memo()
-        self._stats["hits"] = 0
-        self._stats["misses"] = 0
-        self._stats["batches"] = 0
+        for counter in self._stats:
+            self._stats[counter] = 0
 
     # -- profiling --------------------------------------------------------
 

@@ -74,7 +74,9 @@ class Engine:
     def __init__(self, compiled: CompiledDTOP):
         self.compiled = compiled
         self._memo: Dict[PairKey, Tree] = {}
-        self._stats: Dict[str, int] = {"hits": 0, "misses": 0, "batches": 0}
+        self._stats: Dict[str, int] = {
+            "hits": 0, "misses": 0, "batches": 0, "resets": 0
+        }
         self._profile = new_profile(len(compiled.rule_templates))
 
     # ------------------------------------------------------------------
@@ -310,13 +312,29 @@ class Engine:
     # ------------------------------------------------------------------
 
     def memo_size(self) -> int:
-        """Number of memoized pairs (drives the worker memo cap)."""
+        """Number of memoized pairs (what :meth:`trim_memo` bounds)."""
         return len(self._memo)
+
+    def trim_memo(self, limit: int) -> bool:
+        """Drop the pair memo if it holds more than ``limit`` pairs.
+
+        The memo budget of long-lived callers: uids are never reused, so
+        a memo serving a stream of distinct documents only grows, and
+        dropping it is always sound (it is a pure cache).  Counts one
+        ``resets``; ``hits``/``misses``/``batches`` and the process-wide
+        backend counters keep counting.  Returns whether it dropped.
+        """
+        if len(self._memo) <= limit:
+            return False
+        self._memo.clear()
+        self._stats["resets"] += 1
+        return True
 
     @property
     def cache_stats(self) -> Dict[str, object]:
         """Counters: ``hits``, ``misses`` (pair evaluations), ``batches``,
-        ``entries``, plus the serving ``backend`` name."""
+        ``resets`` (memo budget drops), ``entries``, plus the serving
+        ``backend`` name."""
         return {
             **self._stats,
             "entries": len(self._memo),
@@ -326,9 +344,8 @@ class Engine:
     def clear_cache(self) -> None:
         """Drop the persistent pair memo and zero the counters."""
         self._memo.clear()
-        self._stats["hits"] = 0
-        self._stats["misses"] = 0
-        self._stats["batches"] = 0
+        for counter in self._stats:
+            self._stats[counter] = 0
 
     # ------------------------------------------------------------------
     # Profiling

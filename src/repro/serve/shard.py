@@ -423,8 +423,7 @@ def worker_translate(
         documents=len(trees),
     ):
         raw = _WORKER_ENGINE.run_batch_outcomes(trees)
-    if _WORKER_ENGINE.memo_size() > WORKER_MEMO_LIMIT:
-        _WORKER_ENGINE.clear_cache()
+    _WORKER_ENGINE.trim_memo(WORKER_MEMO_LIMIT)
     with trace.span("worker.encode_forest"):
         output_trees = [o for o in raw if isinstance(o, Tree)]
         records, root_indexes = encode_forest(output_trees)

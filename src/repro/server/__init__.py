@@ -6,13 +6,15 @@ into an actual multi-tenant network service:
 :mod:`repro.server.registry`
     named, versioned models loaded from a directory of JSON artifacts
     (raw transducers and XML transformation bundles), with hot reload
-    through the library-wide ``clear_caches`` invalidation contract and
-    deferred teardown while requests are in flight.
+    through the library-wide ``clear_caches`` invalidation contract,
+    deferred teardown while requests are in flight, and a per-model
+    budget on the in-process engine memo.
 
 :mod:`repro.server.batcher`
-    latency-bounded micro-batching — concurrent single-document
-    requests coalesce into hash-consed forests under ``max_batch`` /
-    ``max_wait_ms`` and dispatch to the compiled engine or a sharded
+    group-commit batching — a request for an idle model dispatches at
+    once, and requests arriving while a dispatch is in flight leave
+    together as the next hash-consed forest batch (at most
+    ``max_batch``), to the compiled engine or a sharded
     :class:`~repro.serve.service.TransformService`, with per-request
     outcomes and a bounded admission queue.
 

@@ -29,25 +29,28 @@ Protocol — one JSON object per ``\\n``-terminated line, UTF-8:
 ``reload`` / ``shutdown``
     Admin plane: liveness (``status`` is ``"serving"``, or
     ``"degraded"`` while the supervisor has a shard in quarantine),
-    the registry + batcher + per-model service counters, the model
-    list, the metrics snapshot (per-model counters and latency
-    quantiles as JSON, engine artifact-cache and per-backend counters
-    folded in, plus the Prometheus text exposition under ``"text"``),
+    the registry + batcher + per-model service counters (each model
+    with its engine ``memo`` capacity: budget, used, available,
+    resets), the model list, the metrics snapshot (per-model counters
+    and latency quantiles as JSON, engine artifact-cache and
+    per-backend counters folded in, plus the Prometheus text
+    exposition under ``"text"``),
     the per-model engine profiler snapshot (hot rules, per-height
     sweep timings), a registry rescan, and graceful stop.
 
 Tracing: ``"trace": true`` on a ``transform`` request returns the
-request's span tree (decode → queue/batch.assemble → dispatch/execute →
-encode) under ``"trace"`` in the response; ``trace_sample_rate`` and
-``slow_ms`` record unsolicited traces server-side and emit them as
+request's span tree (decode → queue → dispatch/execute → encode) under
+``"trace"`` in the response; ``trace_sample_rate`` and ``slow_ms``
+record unsolicited traces server-side and emit them as
 ``trace.sample`` / ``trace.slow`` events on the
 :class:`~repro.server.logging.EventLog`.
 
 Observability: every server owns a
 :class:`~repro.server.metrics.ServerMetrics` registry (request /
-queue-wait / batch-assembly / dispatch latency histograms with
-p50/p95/p99, per-model request and overload counters, crash / restart /
-quarantine / reload-outcome counters), an
+queue-wait / dispatch latency histograms with p50/p95/p99, batch-size
+histograms, per-model request and overload counters, engine memo
+occupancy gauges and reset counters, crash / restart / quarantine /
+reload-outcome counters), an
 :class:`~repro.server.logging.EventLog` for structured JSON events, and
 — for sharded models — a :class:`~repro.server.supervisor.ShardSupervisor`
 reconciliation task that restarts crashed worker pools with exponential
@@ -85,7 +88,6 @@ from repro.serve.stream import StreamParser
 from repro.server.batcher import (
     DEFAULT_MAX_BATCH,
     DEFAULT_MAX_PENDING,
-    DEFAULT_MAX_WAIT_MS,
     MicroBatcher,
 )
 from repro.server.logging import EventLog
@@ -135,7 +137,6 @@ class TransformServer:
         host: str = "127.0.0.1",
         port: int = 0,
         max_batch: int = DEFAULT_MAX_BATCH,
-        max_wait_ms: float = DEFAULT_MAX_WAIT_MS,
         max_pending: int = DEFAULT_MAX_PENDING,
         metrics: Optional[ServerMetrics] = None,
         events: Optional[EventLog] = None,
@@ -160,7 +161,6 @@ class TransformServer:
         self.events = events if events is not None else EventLog(enabled=False)
         self.batcher = MicroBatcher(
             max_batch=max_batch,
-            max_wait_ms=max_wait_ms,
             max_pending=max_pending,
             metrics=self.metrics,
         )
@@ -908,7 +908,6 @@ def serve_forever(
     port: int = 7455,
     jobs: Optional[int] = None,
     max_batch: int = DEFAULT_MAX_BATCH,
-    max_wait_ms: float = DEFAULT_MAX_WAIT_MS,
     max_pending: int = DEFAULT_MAX_PENDING,
     stats: bool = False,
     metrics: bool = False,
@@ -962,7 +961,6 @@ def serve_forever(
         host=host,
         port=port,
         max_batch=max_batch,
-        max_wait_ms=max_wait_ms,
         max_pending=max_pending,
         events=EventLog(stream=sys.stderr, enabled=log_json),
         trace_sample_rate=trace_sample_rate,
@@ -1017,7 +1015,7 @@ class ServerThread:
 
     ::
 
-        with ServerThread("models/", jobs=2, max_wait_ms=5) as handle:
+        with ServerThread("models/", jobs=2) as handle:
             client = ServerClient(handle.host, handle.port)
 
     The context exit requests a graceful stop and joins the thread; the

@@ -1,30 +1,39 @@
-"""Latency-bounded micro-batching of concurrent transform requests.
+"""Group-commit batching of concurrent transform requests.
 
 A network server sees single-document requests; the compiled engine and
 the sharded :class:`~repro.serve.service.TransformService` are fastest
 on *forests* (hash-consed sharing makes overlapping documents nearly
 free, and one dispatch amortizes the executor hop and the pool's codec
-work over the whole batch).  :class:`MicroBatcher` bridges the two:
+work over the whole batch).  :class:`MicroBatcher` bridges the two with
+group-commit semantics, per model entry:
 
-* requests for the same model entry coalesce into one pending batch;
-* the batch dispatches when it reaches ``max_batch`` documents **or**
-  when the oldest request has waited ``max_wait_ms`` — the knob bounds
-  the latency a request can pay for the throughput of its neighbours;
+* a request for an entry with no dispatch in flight is dispatched on
+  the event loop's next pass, together with whatever else the same pass
+  admitted (a burst of stream documents, say).  Nothing waits on a
+  timer, so a lone request pays no batching latency;
+* while a dispatch is in flight, new arrivals queue; when it finishes
+  they leave together as the next batch, up to ``max_batch`` documents
+  (the rest leave in the batch after).  Batch size therefore follows
+  load: one under a single client, up to ``max_batch`` under many;
 * dispatch runs in a thread-pool executor (the event loop never blocks
-  on engine work) and per-entry dispatches are serialized — a
+  on engine work); one dispatch at a time per entry — a
   :class:`TransformService` is single-consumer — while distinct models
   translate concurrently;
 * outcomes are **per request**: a document outside the domain resolves
   its own request to the engine's exact
   :class:`~repro.errors.UndefinedTransductionError` and never fails the
-  rest of the coalesced batch.  Only an infrastructure failure of the
-  whole dispatch (a :class:`~repro.errors.ServiceError` pool loss)
-  resolves every member — still as per-request outcomes, never as a
-  dropped connection;
+  rest of the batch.  Only an infrastructure failure of the whole
+  dispatch (a :class:`~repro.errors.ServiceError` pool loss) resolves
+  every member — still as per-request outcomes, never as a dropped
+  connection;
 * admission is bounded: once ``max_pending`` requests are admitted and
   not yet resolved, :meth:`submit` raises
   :class:`~repro.errors.OverloadedError` immediately instead of
   queueing — the explicit overload response of the protocol layer.
+
+After each dispatch the entry's engine memo occupancy is published as
+the ``repro_engine_memo_entries`` gauge and its budget resets as the
+``repro_engine_memo_resets_total`` counter.
 
 ``max_batch=1`` degrades to per-request dispatch (the benchmark
 baseline); semantics are identical either way, pinned by the
@@ -35,29 +44,29 @@ from __future__ import annotations
 
 import asyncio
 import time
-import weakref
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.errors import OverloadedError, ServiceError
-from repro.obs.trace import Span, TraceContext
+from repro.obs.trace import TraceContext
 from repro.server.metrics import ServerMetrics
 from repro.server.registry import ModelEntry
 
-#: Default documents per coalesced batch.
+#: Default documents per batch.
 DEFAULT_MAX_BATCH = 32
-#: Default bound (milliseconds) on the wait a request pays to coalesce.
-DEFAULT_MAX_WAIT_MS = 2.0
 #: Default bound on admitted-but-unresolved requests.
 DEFAULT_MAX_PENDING = 1024
 
+#: One queued request: (document, future, admitted-at, trace or None).
+Member = Tuple[object, asyncio.Future, float, Optional[TraceContext]]
+
 
 class MicroBatcher:
-    """Coalesce concurrent single-document requests into forest batches.
+    """Group concurrent single-document requests into forest batches.
 
     Drive it from one event loop::
 
-        batcher = MicroBatcher(max_batch=32, max_wait_ms=2.0)
+        batcher = MicroBatcher(max_batch=32)
         outcome = await batcher.submit(entry, document)
 
     ``submit`` returns the request's outcome — an output tree, or the
@@ -68,7 +77,6 @@ class MicroBatcher:
     def __init__(
         self,
         max_batch: int = DEFAULT_MAX_BATCH,
-        max_wait_ms: float = DEFAULT_MAX_WAIT_MS,
         max_pending: int = DEFAULT_MAX_PENDING,
         executor: Optional[ThreadPoolExecutor] = None,
         metrics: Optional[ServerMetrics] = None,
@@ -79,7 +87,6 @@ class MicroBatcher:
         if max_pending < 0:
             raise ServiceError("max_pending must be non-negative")
         self.max_batch = max_batch
-        self.max_wait_ms = max_wait_ms
         self.max_pending = max_pending
         #: Latency histograms + counters; a fresh registry when the
         #: caller (the server) did not share one — recording is always
@@ -90,19 +97,13 @@ class MicroBatcher:
             max_workers=8, thread_name_prefix="repro-batch"
         )
         self._own_executor = executor is None
-        #: Pending (document, future, admitted-at, trace) tuples per
-        #: live entry (by identity: a hot reload replaces the entry
-        #: object, so an old entry's pending batch drains on the machine
-        #: it was admitted to).  ``trace`` is ``None`` on untraced
-        #: requests — the overwhelmingly common case.
-        self._pending: Dict[
-            ModelEntry,
-            List[Tuple[object, asyncio.Future, float, Optional[TraceContext]]],
-        ] = {}
-        self._timers: Dict[ModelEntry, asyncio.TimerHandle] = {}
-        self._locks: "weakref.WeakKeyDictionary[ModelEntry, asyncio.Lock]" = (
-            weakref.WeakKeyDictionary()
-        )
+        #: Queued requests of every entry with a dispatch in flight —
+        #: the key's presence *is* the in-flight flag.  Entries are keyed
+        #: by identity: a hot reload replaces the entry object, so an old
+        #: entry's queue drains on the machine it was admitted to.
+        self._pending: Dict[ModelEntry, List[Member]] = {}
+        #: The running drain tasks (the loop itself holds tasks weakly).
+        self._drains: Set[asyncio.Task] = set()
         self._admitted = 0
         self._closed = False
         self._stats = {
@@ -129,7 +130,6 @@ class MicroBatcher:
             **self._stats,
             "pending": self._admitted,
             "max_batch": self.max_batch,
-            "max_wait_ms": self.max_wait_ms,
             "max_pending": self.max_pending,
         }
 
@@ -161,124 +161,107 @@ class MicroBatcher:
                 f"server overloaded: {self._admitted} requests pending "
                 f"(bound {self.max_pending}); retry later"
             )
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
+        future = asyncio.get_running_loop().create_future()
         self._admitted += 1
         self._stats["requests"] += 1
         entry.acquire()
         try:
-            queue = self._pending.setdefault(entry, [])
-            queue.append((document, future, self._clock(), trace if trace else None))
-            if len(queue) >= self.max_batch:
-                self._flush(entry)
-            elif len(queue) == 1:
-                self._timers[entry] = loop.call_later(
-                    self.max_wait_ms / 1000.0, self._flush, entry
-                )
+            queue = self._pending.get(entry)
+            if queue is None:
+                # Nothing in flight: the drain starts on the loop's next
+                # pass, after the arrivals of this pass have queued.
+                queue = self._pending[entry] = []
+                drain = asyncio.ensure_future(self._drain(entry, queue))
+                self._drains.add(drain)
+                drain.add_done_callback(self._drains.discard)
+            queue.append((document, future, self._clock(), trace or None))
             return await future
         finally:
             self._admitted -= 1
             entry.release()
 
     async def close(self) -> None:
-        """Resolve every pending request to a shutdown error; idempotent."""
+        """Resolve every queued request to a shutdown error; idempotent."""
         if self._closed:
             return
         self._closed = True
-        for timer in self._timers.values():
-            timer.cancel()
-        self._timers.clear()
-        batches = list(self._pending.values())
+        queues = list(self._pending.values())
         self._pending.clear()
-        for batch in batches:
-            for _document, future, _admitted_at, _trace in batch:
+        for queue in queues:
+            for _document, future, _admitted_at, _trace in queue:
                 if not future.done():
                     future.set_result(ServiceError("server shutting down"))
+            queue.clear()
         if self._own_executor:
             self._executor.shutdown(wait=True)
 
     # -- batching internals ---------------------------------------------
 
-    def _flush(self, entry: ModelEntry) -> None:
-        """Detach the entry's pending batch and dispatch it.
+    async def _drain(self, entry: ModelEntry, queue: List[Member]) -> None:
+        """Dispatch ``entry``'s queue, one batch at a time, until empty."""
+        try:
+            while queue:
+                batch = queue[: self.max_batch]
+                del queue[: self.max_batch]
+                await self._dispatch(entry, batch)
+        finally:
+            if self._pending.get(entry) is queue:
+                del self._pending[entry]
 
-        This is the batch-close timing hook: assembly time — first
-        admission to close — is recorded here, per batch.
-        """
-        timer = self._timers.pop(entry, None)
-        if timer is not None:
-            timer.cancel()
-        batch = self._pending.pop(entry, None)
-        if not batch:
-            return
-        labels = {"model": entry.key}
-        closed_at = self._clock()
-        self.metrics.observe(
-            "repro_batch_assembly_seconds",
-            labels,
-            max(0.0, closed_at - batch[0][2]),
-        )
-        self.metrics.observe("repro_batch_documents", labels, len(batch))
-        asyncio.ensure_future(self._dispatch(entry, batch, closed_at))
-
-    async def _dispatch(
-        self,
-        entry: ModelEntry,
-        batch: List[
-            Tuple[object, asyncio.Future, float, Optional[TraceContext]]
-        ],
-        closed_at: float,
-    ) -> None:
+    async def _dispatch(self, entry: ModelEntry, batch: List[Member]) -> None:
         """Translate one batch in the executor; resolve its futures."""
         documents = [document for document, _future, _admitted_at, _t in batch]
+        size = len(batch)
         self._stats["batches"] += 1
-        self._stats["documents"] += len(batch)
-        if len(batch) > 1:
-            self._stats["coalesced"] += len(batch)
-        self._stats["max_batch_seen"] = max(
-            self._stats["max_batch_seen"], len(batch)
-        )
-        lock = self._locks.get(entry)
-        if lock is None:
-            lock = self._locks[entry] = asyncio.Lock()
-        loop = asyncio.get_running_loop()
+        self._stats["documents"] += size
+        if size > 1:
+            self._stats["coalesced"] += size
+        self._stats["max_batch_seen"] = max(self._stats["max_batch_seen"], size)
         labels = {"model": entry.key}
+        self.metrics.observe("repro_batch_documents", labels, size)
         # One shared collector for the execute spans of this batch: the
         # executor thread records into it during ``run_batch``, and its
         # spans are grafted under every traced member's dispatch span
         # afterwards (a batch runs once however many members watch it).
         any_traced = any(trace is not None for *_rest, trace in batch)
         batch_trace = TraceContext(name="batch") if any_traced else None
+        resets_before = entry.memo()["resets"]
         dispatch_started = self._clock()
+        for _document, _future, admitted_at, _trace in batch:
+            self.metrics.observe(
+                "repro_queue_wait_seconds",
+                labels,
+                max(0.0, dispatch_started - admitted_at),
+            )
+        loop = asyncio.get_running_loop()
         try:
-            async with lock:
-                dispatch_started = self._clock()
-                for _document, _future, admitted_at, _trace in batch:
-                    self.metrics.observe(
-                        "repro_queue_wait_seconds",
-                        labels,
-                        max(0.0, dispatch_started - admitted_at),
-                    )
-                if batch_trace is None:
-                    outcomes = await loop.run_in_executor(
-                        self._executor, entry.run_batch, documents
-                    )
-                else:
-                    outcomes = await loop.run_in_executor(
-                        self._executor, entry.run_batch, documents, batch_trace
-                    )
+            if batch_trace is None:
+                outcomes = await loop.run_in_executor(
+                    self._executor, entry.run_batch, documents
+                )
+            else:
+                outcomes = await loop.run_in_executor(
+                    self._executor, entry.run_batch, documents, batch_trace
+                )
         except Exception as error:  # infrastructure, not per-document
             self._stats["dispatch_failures"] += 1
             if not isinstance(error, ServiceError):
                 error = ServiceError(
                     f"batch dispatch failed: {type(error).__name__}: {error}"
                 )
-            outcomes = [error] * len(batch)
+            outcomes = [error] * size
         dispatch_ended = self._clock()
         self.metrics.observe(
             "repro_dispatch_seconds",
             labels,
             max(0.0, dispatch_ended - dispatch_started),
+        )
+        memo = entry.memo()
+        self.metrics.set_gauge("repro_engine_memo_entries", labels, memo["used"])
+        self.metrics.inc(
+            "repro_engine_memo_resets_total",
+            labels,
+            max(0, memo["resets"] - resets_before),
         )
         self._stats["errors"] += sum(
             1 for outcome in outcomes if isinstance(outcome, Exception)
@@ -288,22 +271,12 @@ class MicroBatcher:
             for _document, _future, admitted_at, trace in batch:
                 if trace is None:
                     continue
-                queue_span = trace.add_span(
-                    "queue", admitted_at, dispatch_started
-                )
-                # The slice of this member's wait spent assembling the
-                # batch (clamped: stays inside the member's own queue
-                # interval even for late joiners).
-                assemble = Span("batch.assemble", admitted_at)
-                assemble.ended = min(
-                    max(admitted_at, closed_at), dispatch_started
-                )
-                queue_span.children.append(assemble)
+                trace.add_span("queue", admitted_at, dispatch_started)
                 trace.add_span(
                     "dispatch",
                     dispatch_started,
                     dispatch_ended,
-                    meta={"batch_documents": len(batch)},
+                    meta={"batch_documents": size},
                     children=executed,
                 )
         for (_document, future, _admitted_at, _trace), outcome in zip(

@@ -161,7 +161,7 @@ class ServerClient:
         """Transform one document and return ``(output, trace)``.
 
         ``trace`` is the server-side span tree of this exact request
-        (decode → queue/batch.assemble → dispatch/execute → encode) as
+        (decode → queue → dispatch/execute → encode) as
         a plain dict; feed it to
         :func:`repro.obs.trace.render_trace_dict` for the human
         rendering.  Raises the server's exact error on failure, like

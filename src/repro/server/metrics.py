@@ -39,9 +39,10 @@ family                                    type       labels
 ``repro_overloads_total``                 counter    ``model``
 ``repro_request_seconds``                 histogram  ``model``
 ``repro_queue_wait_seconds``              histogram  ``model``
-``repro_batch_assembly_seconds``          histogram  ``model``
 ``repro_dispatch_seconds``                histogram  ``model``
 ``repro_batch_documents``                 histogram  ``model``
+``repro_engine_memo_entries``             gauge      ``model``
+``repro_engine_memo_resets_total``        counter    ``model``
 ``repro_worker_crashes_total``            counter    ``model``
 ``repro_shard_restarts_total``            counter    ``model``
 ``repro_quarantines_total``               counter    ``model``
@@ -57,11 +58,13 @@ admission and wait in no queue — the overload regression tests pin the
 exclusion).  ``repro_reload_total`` outcomes mirror the registry's
 reload summary: ``loaded`` / ``reloaded`` / ``kept`` / ``dropped`` /
 ``failed``.  ``repro_shard_state`` is 0 healthy, 1 backoff, 2
-quarantined (the supervisor's state machine).  ``mode`` on traces is
-``requested`` (client asked via ``"trace": true``) / ``sampled``
-(``--trace-sample-rate`` picked it) / ``watch`` (``--slow-ms`` traces
-everything); the overhead histogram records the post-response cost of
-serializing and logging each trace.
+quarantined (the supervisor's state machine).  The memo gauge never
+exceeds the model's budget (``memo.budget`` in the ``stats`` verb): a
+batch that outgrows it drops the memo and counts a reset.  ``mode`` on
+traces is ``requested`` (client asked via ``"trace": true``) /
+``sampled`` (``--trace-sample-rate`` picked it) / ``watch``
+(``--slow-ms`` traces everything); the overhead histogram records the
+post-response cost of serializing and logging each trace.
 """
 
 from __future__ import annotations
@@ -214,17 +217,21 @@ FAMILIES: Dict[str, Tuple[str, str]] = {
         "Admission-to-dispatch wait inside the micro-batcher "
         "(admitted requests only; overload rejections are excluded)",
     ),
-    "repro_batch_assembly_seconds": (
-        "histogram",
-        "First-admission-to-batch-close assembly time per dispatched batch",
-    ),
     "repro_dispatch_seconds": (
         "histogram",
         "Engine/service execution time per dispatched batch",
     ),
     "repro_batch_documents": (
         "histogram",
-        "Documents per dispatched micro-batch",
+        "Documents per dispatched batch",
+    ),
+    "repro_engine_memo_entries": (
+        "gauge",
+        "Pairs in the model's in-process engine memo after its last batch",
+    ),
+    "repro_engine_memo_resets_total": (
+        "counter",
+        "Times the model's engine memo outgrew its budget and was dropped",
     ),
     "repro_worker_crashes_total": (
         "counter",

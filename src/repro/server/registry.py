@@ -103,6 +103,14 @@ JSON_BUNDLE_FORMAT = "repro/json-transformation@1"
 #: Pipeline artifact: a JSON list of member model refs fused at load.
 PIPELINE_FORMAT = "repro/pipeline@1"
 
+#: Pair budget of each entry's in-process engine memo.  Memo keys carry
+#: never-reused tree uids, and every request parses a fresh tree, so a
+#: server would otherwise grow the memo with every request; after each
+#: batch an entry whose memo holds more pairs than this drops it
+#: (:meth:`ModelEntry.run_batch`).  The memo still serves the sharing
+#: inside a batch and across the batches between drops.
+MEMO_BUDGET = 1024
+
 
 def _version_key(version: str) -> Tuple:
     """Order versions numerically when possible, lexicographically else."""
@@ -432,29 +440,63 @@ class ModelEntry:
         return {"records": records, "root": roots[0]}
 
     def run_batch(self, documents: List, trace=None) -> List:
-        """Translate a coalesced batch; per-document outcomes.
+        """Translate a batch; per-document outcomes.
 
         Outcomes are output trees or exception instances — one bad
         document never fails the batch (the engine and
         ``XMLTransformation.apply_batch`` both report per document).
         An optional :class:`~repro.obs.trace.TraceContext` collects the
-        batch's execute (and pipeline encode/decode) spans.
+        batch's execute (and pipeline encode/decode) spans.  Afterwards
+        the in-process engine memo is held to ``MEMO_BUDGET``.
         """
         self.requests += len(documents)
         engine = self.ensure_engine()
         service = self.service()
         if self.kind in (KIND_XML, KIND_JSON):
-            return self.transformation.apply_batch(
+            outcomes = self.transformation.apply_batch(
                 documents, service=service, backend=self.backend, trace=trace
             )
-        if service is not None:
-            return service.run_batch_outcomes(documents, trace=trace)
-        if trace:
+        elif service is not None:
+            outcomes = service.run_batch_outcomes(documents, trace=trace)
+        elif trace:
             with trace.span(
                 "execute", backend=engine.backend, documents=len(documents)
             ):
-                return engine.run_batch_outcomes(documents)
-        return engine.run_batch_outcomes(documents)
+                outcomes = engine.run_batch_outcomes(documents)
+        else:
+            outcomes = engine.run_batch_outcomes(documents)
+        # The XML/JSON pipelines run this same engine (``engine_for`` on
+        # the same machine and backend), so one trim bounds every path.
+        engine.trim_memo(MEMO_BUDGET)
+        return outcomes
+
+    def _live_engine(self):
+        """The already-built in-process engine, or ``None`` — never
+        compiles one."""
+        engines = getattr(self.machine, "_engine", None)
+        if engines is None:
+            return None
+        return engines.engines.get(resolve_backend(self.backend))
+
+    def memo(self) -> Dict[str, int]:
+        """The in-process engine memo as capacity.
+
+        ``budget`` pairs, ``used`` now, ``available`` before the next
+        batch drops the memo, and ``resets`` — how often it was dropped.
+        Sharded entries translate in their workers, so their parent-side
+        memo stays near empty.
+        """
+        engine = self._live_engine()
+        if engine is None:
+            stats = {"entries": 0, "resets": 0}
+        else:
+            stats = engine.cache_stats
+        return {
+            "budget": MEMO_BUDGET,
+            "used": stats["entries"],
+            "available": max(0, MEMO_BUDGET - stats["entries"]),
+            "resets": stats["resets"],
+        }
 
     def profile(self) -> Optional[Dict[str, object]]:
         """The in-process engine's profiler snapshot, or ``None``.
@@ -464,12 +506,7 @@ class ModelEntry:
         sharded entries (``jobs > 1``) this covers only the parent-side
         engine; worker-process engines profile in their own processes.
         """
-        engines = getattr(self.machine, "_engine", None)
-        if engines is None:
-            return None
-        from repro.engine.backends import resolve_backend
-
-        engine = engines.engines.get(resolve_backend(self.backend))
+        engine = self._live_engine()
         if engine is None:
             return None
         return engine.profile_snapshot()
@@ -485,6 +522,7 @@ class ModelEntry:
             "rules": len(self.machine.rules),
             "requests": self.requests,
             "engine_cached": self._engine_cached,
+            "memo": self.memo(),
         }
         if self.members is not None:
             info["members"] = list(self.members)

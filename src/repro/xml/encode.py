@@ -25,7 +25,7 @@ transformation result can be re-hydrated (see
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import AmbiguousContentModelError, DTDError, EncodingError
 from repro.trees.alphabet import RankedAlphabet
@@ -179,42 +179,63 @@ class DTDEncoder:
         j: int,
         memo: Dict,
     ) -> bool:
-        """Can ``model`` generate ``items[i:j]``?  Memoized."""
-        key = (id(model), i, j)
-        if key in memo:
-            return memo[key]
-        memo[key] = False  # cycle guard (Star/Plus recursion shrinks spans)
-        result = self._spans_raw(model, items, i, j, memo)
-        memo[key] = result
-        return result
+        """Can ``model`` generate ``items[i:j]``?"""
+        return j in self._ends(model, items, i, memo)
 
-    def _spans_raw(self, model, items, i, j, memo) -> bool:
+    def _ends(
+        self, model: ContentModel, items: Tuple[UTree, ...], i: int, memo: Dict
+    ) -> Set[int]:
+        """Every ``j`` such that ``model`` generates ``items[i:j]``.
+
+        Memoized per ``(model, start)``, so each content-model node is
+        matched once per child position: linear in the number of
+        children for the usual one-item ``Star``/``Plus`` bodies, where
+        trying every split point of every span was cubic.  Callers must
+        not mutate the returned set.
+        """
+        key = (id(model), i)
+        ends = memo.get(key)
+        if ends is None:
+            ends = memo[key] = self._ends_raw(model, items, i, memo)
+        return ends
+
+    def _ends_raw(self, model, items, i, memo) -> Set[int]:
         if isinstance(model, Empty):
-            return i == j
+            return {i}
         if isinstance(model, PCDataRe):
-            return j == i + 1 and items[i].is_text
+            return {i + 1} if i < len(items) and items[i].is_text else set()
         if isinstance(model, ElementRe):
-            return j == i + 1 and not items[i].is_text and items[i].label == model.name
-        if isinstance(model, Star):
-            if i == j:
-                return True
-            return any(
-                self._spans(model.inner, items, i, k, memo)
-                and self._spans(model, items, k, j, memo)
-                for k in range(i + 1, j + 1)
+            matches = (
+                i < len(items)
+                and not items[i].is_text
+                and items[i].label == model.name
             )
-        if isinstance(model, Plus):
-            return any(
-                self._spans(model.inner, items, i, k, memo)
-                and (k == j or self._spans(model, items, k, j, memo))
-                for k in range(i + 1, j + 1)
-            )
+            return {i + 1} if matches else set()
+        if isinstance(model, (Star, Plus)):
+            # Only iterations that consume an item count (``k > i``), so
+            # the recursion moves right and ends.
+            ends = {i} if isinstance(model, Star) else set()
+            for k in self._ends(model.inner, items, i, memo):
+                if k > i:
+                    ends.add(k)
+                    ends |= self._ends(model, items, k, memo)
+            return ends
         if isinstance(model, Opt):
-            return i == j or self._spans(model.inner, items, i, j, memo)
+            return {i} | self._ends(model.inner, items, i, memo)
         if isinstance(model, Alt):
-            return any(self._spans(p, items, i, j, memo) for p in model.parts)
+            ends = set()
+            for part in model.parts:
+                ends |= self._ends(part, items, i, memo)
+            return ends
         if isinstance(model, Seq):
-            return bool(self._seq_splits(model.parts, items, i, j, memo, cap=1))
+            ends = {i}
+            for part in model.parts:
+                ends = {
+                    k
+                    for position in ends
+                    for k in self._ends(part, items, position, memo)
+                }
+            return ends
         raise DTDError(f"unknown content model node {model!r}")
 
     def _seq_splits(
@@ -233,19 +254,15 @@ class DTDEncoder:
                 if position == j:
                     results.append(bounds + (j,))
                 return
-            for k in range(position, j + 1):
-                if self._spans(parts[index], items, position, k, memo):
-                    recurse(index + 1, k, bounds + (k,))
-                    if len(results) >= cap:
-                        return
+            for k in sorted(self._ends(parts[index], items, position, memo)):
+                if k > j:
+                    return
+                recurse(index + 1, k, bounds + (k,))
+                if len(results) >= cap:
+                    return
 
         recurse(0, i, (i,))
-        # Deduplicate (identical boundary tuples can be found twice).
-        unique: List[Tuple[int, ...]] = []
-        for item in results:
-            if item not in unique:
-                unique.append(item)
-        return unique
+        return results
 
     # ------------------------------------------------------------------
     # Encoding
@@ -345,17 +362,16 @@ class DTDEncoder:
                 return HASH if self.compact_lists else Tree(label, (HASH, HASH))
             cuts = [
                 k
-                for k in range(i + 1, j + 1)
-                if self._spans(model.inner, items, i, k, memo)
-                and self._spans(model, items, k, j, memo)
+                for k in sorted(self._ends(model.inner, items, i, memo))
+                if i < k <= j and self._spans(model, items, k, j, memo)
             ]
             return self._cons(model, label, items, i, j, cuts, memo, star=True)
         if isinstance(model, Plus):
             label = model.label()
             cuts = [
                 k
-                for k in range(i + 1, j + 1)
-                if self._spans(model.inner, items, i, k, memo)
+                for k in sorted(self._ends(model.inner, items, i, memo))
+                if i < k <= j
                 and (k == j or self._spans(model, items, k, j, memo))
             ]
             if len(cuts) == 1 and cuts[0] == j:

@@ -72,7 +72,7 @@ def test_server_replay_byte_identical_under_concurrency(corpus):
             outcome_bytes(o) for o in interpreter_outcomes(machine, forest)
         ]
 
-    with ServerThread(directory, max_wait_ms=2.0, max_batch=16) as handle:
+    with ServerThread(directory, max_batch=16) as handle:
         jobs = [
             (seed, index, str(document))
             for seed, forest in forests.items()
@@ -100,8 +100,8 @@ def test_server_replay_byte_identical_under_concurrency(corpus):
         ]
         assert got == reference, f"seed {seed} diverged"
     assert stats["batcher"]["documents"] == len(jobs)
-    # Eight concurrent clients against a 2 ms window: dispatches must
-    # actually have coalesced, or this test is not testing batching.
+    # Eight concurrent clients queue behind in-flight dispatches: batches
+    # must actually have formed, or this test is not testing batching.
     assert stats["batcher"]["batches"] < len(jobs)
 
 
@@ -110,7 +110,7 @@ def test_server_replay_survives_hot_reloads(corpus, tmp_path):
     a single byte of the replayed corpus."""
     directory, machines = corpus
     seeds = sorted(machines)[:4] or sorted(machines)
-    with ServerThread(directory, max_wait_ms=1.0) as handle:
+    with ServerThread(directory) as handle:
         with ServerClient(handle.host, handle.port) as client:
             for round_index in range(3):
                 for seed in seeds:
@@ -204,7 +204,7 @@ def test_served_json_models_match_local_pipelines(tmp_path):
     rng = random.Random(0x1E9A)
     corpus = [serialize_json(random_json_document(rng)) for _ in range(40)]
 
-    with ServerThread(tmp_path, max_wait_ms=2.0, max_batch=8) as handle:
+    with ServerThread(tmp_path, max_batch=8) as handle:
         with ServerClient(handle.host, handle.port) as client:
             errors = 0
             for name, transformation in local.items():

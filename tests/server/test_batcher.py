@@ -1,9 +1,9 @@
-"""MicroBatcher: coalescing, latency bound, per-request outcomes,
+"""MicroBatcher: group-commit batching, per-request outcomes,
 admission control, shutdown."""
 
 import asyncio
 import threading
-import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -29,17 +29,35 @@ def flip_entry(**kwargs) -> ModelEntry:
 class BlockingEntry(ModelEntry):
     """An entry whose dispatch blocks until the test releases it."""
 
-    def __init__(self):
+    def __init__(self, name="slow"):
         super().__init__(
-            "slow", "1", Path("slow@1.json"), KIND_DTOP, flip_transducer()
+            name, "1", Path(f"{name}@1.json"), KIND_DTOP, flip_transducer()
         )
         self.gate = threading.Event()
+        self.started = threading.Event()
         self.batches = []
 
     def run_batch(self, documents):
+        self.started.set()
         self.gate.wait(timeout=30)
         self.batches.append(len(documents))
         return super().run_batch(documents)
+
+
+class FrozenClockLoop(asyncio.SelectorEventLoop):
+    """An event loop whose clock never moves: no timer ever fires."""
+
+    def time(self):
+        return 0.0
+
+
+async def until(predicate, steps=2000):
+    """Yield to the loop (in 5 ms sleeps) until ``predicate()`` holds."""
+    for _ in range(steps):
+        if predicate():
+            return
+        await asyncio.sleep(0.005)
+    raise AssertionError("condition never held")
 
 
 class FailingEntry(ModelEntry):
@@ -61,7 +79,7 @@ class TestCoalescing:
         reference = engine_for(entry.machine).run_batch_outcomes(forest)
 
         async def main():
-            batcher = MicroBatcher(max_batch=32, max_wait_ms=20)
+            batcher = MicroBatcher(max_batch=32)
             results = await asyncio.gather(
                 *(batcher.submit(entry, document) for document in forest)
             )
@@ -81,7 +99,7 @@ class TestCoalescing:
         forest = [flip_input(1, 1)] * 10
 
         async def main():
-            batcher = MicroBatcher(max_batch=4, max_wait_ms=50)
+            batcher = MicroBatcher(max_batch=4)
             await asyncio.gather(
                 *(batcher.submit(entry, document) for document in forest)
             )
@@ -93,21 +111,86 @@ class TestCoalescing:
         assert stats["batches"] == 3  # 4 + 4 + 2
         assert stats["max_batch_seen"] == 4
 
-    def test_max_wait_flushes_a_lone_request(self):
+    def test_lone_request_dispatches_with_a_frozen_clock(self):
+        """No timer is involved: with the loop clock (and the batcher's)
+        frozen, a lone request still dispatches and resolves at once."""
         entry = flip_entry()
+        outcome = {}
 
         async def main():
-            batcher = MicroBatcher(max_batch=1000, max_wait_ms=10)
-            start = time.perf_counter()
-            result = await batcher.submit(entry, flip_input(1, 0))
-            elapsed = time.perf_counter() - start
+            batcher = MicroBatcher(max_batch=1000, clock=lambda: 0.0)
+            outcome["result"] = await batcher.submit(entry, flip_input(1, 0))
+            outcome["stats"] = batcher.stats
+            outcome["wait"] = batcher.metrics.histogram(
+                "repro_queue_wait_seconds", {"model": entry.key}
+            )
             await batcher.close()
-            return result, elapsed
 
-        result, elapsed = asyncio.run(main())
-        assert str(result) == "root(#, a(#, #))"
-        # Must not wait for 999 neighbours that never arrive.
-        assert elapsed < 5.0
+        def run():
+            loop = FrozenClockLoop()
+            try:
+                loop.run_until_complete(main())
+            finally:
+                loop.close()
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        thread.join(timeout=30)
+        assert not thread.is_alive(), "a lone request waited on a timer"
+        assert str(outcome["result"]) == "root(#, a(#, #))"
+        assert outcome["stats"]["batches"] == 1
+        assert outcome["wait"].count == 1 and outcome["wait"].max == 0.0
+
+    def test_arrivals_during_a_dispatch_leave_together_as_the_next_batch(
+        self,
+    ):
+        entry = BlockingEntry()
+        documents = [flip_input(n % 3, n % 2) for n in range(11)]
+        reference = engine_for(entry.machine).run_batch_outcomes(documents)
+
+        async def main():
+            batcher = MicroBatcher(max_batch=4)
+            first = asyncio.ensure_future(batcher.submit(entry, documents[0]))
+            await until(entry.started.is_set)  # in flight, held at the gate
+            rest = [
+                asyncio.ensure_future(batcher.submit(entry, document))
+                for document in documents[1:]
+            ]
+            await until(lambda: batcher.pending == len(documents))
+            assert entry.batches == []  # nothing else left meanwhile
+            entry.gate.set()
+            results = await asyncio.gather(first, *rest)
+            stats = batcher.stats
+            await batcher.close()
+            return results, stats
+
+        results, stats = asyncio.run(main())
+        assert [str(r) for r in results] == [str(r) for r in reference]
+        # The lone first request left alone; the ten that queued behind
+        # it left as max_batch-capped batches, in arrival order.
+        assert entry.batches == [1, 4, 4, 2]
+        assert stats["batches"] == 4 and stats["max_batch_seen"] == 4
+
+    def test_distinct_entries_dispatch_concurrently(self):
+        held = BlockingEntry("held")
+        free = flip_entry()
+
+        async def main():
+            batcher = MicroBatcher()
+            blocked = asyncio.ensure_future(
+                batcher.submit(held, flip_input(0, 0))
+            )
+            await until(held.started.is_set)
+            # ``held`` is still in flight; another entry must not queue
+            # behind it.
+            result = await batcher.submit(free, flip_input(1, 0))
+            assert not blocked.done()
+            held.gate.set()
+            await blocked
+            await batcher.close()
+            return result
+
+        assert str(asyncio.run(main())) == "root(#, a(#, #))"
 
     def test_bad_document_fails_alone_not_the_batch(self):
         entry = flip_entry()
@@ -115,7 +198,7 @@ class TestCoalescing:
         bad = flip_input(1, 1).children[0]  # no root wrapper: off-domain
 
         async def main():
-            batcher = MicroBatcher(max_batch=8, max_wait_ms=20)
+            batcher = MicroBatcher(max_batch=8)
             results = await asyncio.gather(
                 batcher.submit(entry, good),
                 batcher.submit(entry, bad),
@@ -135,7 +218,7 @@ class TestCoalescing:
         entry = FailingEntry()
 
         async def main():
-            batcher = MicroBatcher(max_batch=8, max_wait_ms=5)
+            batcher = MicroBatcher(max_batch=8)
             results = await asyncio.gather(
                 batcher.submit(entry, flip_input(0, 0)),
                 batcher.submit(entry, flip_input(1, 1)),
@@ -156,7 +239,7 @@ class TestAdmissionControl:
 
         async def main():
             batcher = MicroBatcher(
-                max_batch=2, max_wait_ms=5, max_pending=2
+                max_batch=2, max_pending=2
             )
             first = asyncio.ensure_future(
                 batcher.submit(entry, flip_input(0, 0))
@@ -192,25 +275,37 @@ class TestAdmissionControl:
 
 
 class TestLifecycle:
-    def test_close_resolves_pending_to_shutdown_errors(self):
-        entry = flip_entry()
+    def test_close_resolves_queued_members_to_shutdown_errors(self):
+        entry = BlockingEntry()
+        executor = ThreadPoolExecutor(max_workers=2)
 
         async def main():
-            batcher = MicroBatcher(max_batch=100, max_wait_ms=10_000)
-            pending = asyncio.ensure_future(
+            batcher = MicroBatcher(executor=executor)
+            in_flight = asyncio.ensure_future(
                 batcher.submit(entry, flip_input(0, 0))
             )
-            await asyncio.sleep(0.02)
+            await until(entry.started.is_set)
+            queued = [
+                asyncio.ensure_future(batcher.submit(entry, flip_input(1, 1)))
+                for _ in range(3)
+            ]
+            await until(lambda: batcher.pending == 4)
             await batcher.close()
             await batcher.close()  # idempotent
-            outcome = await pending
+            outcomes = await asyncio.gather(*queued)
             with pytest.raises(ServiceError):
                 await batcher.submit(entry, flip_input(0, 0))
-            return outcome
+            entry.gate.set()  # the dispatch already running still finishes
+            return outcomes, await in_flight
 
-        outcome = asyncio.run(main())
-        assert isinstance(outcome, ServiceError)
-        assert "shutting down" in str(outcome)
+        try:
+            outcomes, finished = asyncio.run(main())
+        finally:
+            executor.shutdown(wait=True)
+        assert all(isinstance(o, ServiceError) for o in outcomes)
+        assert all("shutting down" in str(o) for o in outcomes)
+        assert str(finished) == "root(#, #)"
+        assert entry.batches == [1]
 
     def test_invalid_knobs_rejected(self):
         with pytest.raises(ServiceError):
@@ -222,7 +317,7 @@ class TestLifecycle:
         entry = flip_entry()
 
         async def main():
-            batcher = MicroBatcher(max_batch=4, max_wait_ms=5)
+            batcher = MicroBatcher(max_batch=4)
             await asyncio.gather(
                 *(batcher.submit(entry, flip_input(1, 1)) for _ in range(6))
             )

@@ -28,7 +28,7 @@ from tests.server.faults import wait_until
 
 @pytest.fixture
 def server(models_dir):
-    with ServerThread(models_dir, max_wait_ms=2.0) as handle:
+    with ServerThread(models_dir) as handle:
         yield handle
 
 
@@ -212,6 +212,33 @@ class TestComposeCommand:
 
 
 class TestServerCommand:
+    def test_batcher_knobs_default_to_the_batcher_constants(
+        self, models_dir, monkeypatch
+    ):
+        import repro.server
+        import repro.server.batcher as batcher_module
+
+        seen = {}
+
+        def fake_serve_forever(models, **knobs):
+            seen.update(knobs)
+            return 0
+
+        monkeypatch.setattr(repro.server, "serve_forever", fake_serve_forever)
+        monkeypatch.setattr(batcher_module, "DEFAULT_MAX_BATCH", 7)
+        monkeypatch.setattr(batcher_module, "DEFAULT_MAX_PENDING", 99)
+        assert main(["server", "--models", str(models_dir)]) == 0
+        assert (seen["max_batch"], seen["max_pending"]) == (7, 99)
+        seen.clear()
+        main(["server", "--models", str(models_dir), "--max-batch", "3",
+              "--max-pending", "0"])
+        assert (seen["max_batch"], seen["max_pending"]) == (3, 0)
+
+    def test_max_wait_ms_is_gone(self, models_dir, capsys):
+        with pytest.raises(SystemExit):
+            main(["server", "--models", str(models_dir), "--max-wait-ms", "1"])
+        assert "--max-wait-ms" in capsys.readouterr().err
+
     def test_server_subprocess_round_trip_and_clean_shutdown(
         self, models_source, tmp_path
     ):
@@ -227,7 +254,6 @@ class TestServerCommand:
                 sys.executable, "-m", "repro", "server",
                 "--models", str(models_source),
                 "--port", "0",
-                "--max-wait-ms", "1",
                 "--stats",
             ],
             stdout=subprocess.PIPE,
@@ -282,7 +308,6 @@ class TestServerCommand:
                 "--models", str(models_source),
                 "--port", "0",
                 "--jobs", "2",
-                "--max-wait-ms", "1",
             ],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,

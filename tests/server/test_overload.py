@@ -29,7 +29,6 @@ class TestBatcherOverloadAccounting:
         async def main():
             batcher = MicroBatcher(
                 max_batch=1,
-                max_wait_ms=1.0,
                 max_pending=max_pending,
                 metrics=metrics,
             )
@@ -92,7 +91,7 @@ class TestBatcherOverloadAccounting:
 
         async def main():
             batcher = MicroBatcher(
-                max_batch=4, max_wait_ms=1.0, max_pending=64, metrics=metrics
+                max_batch=4, max_pending=64, metrics=metrics
             )
             await asyncio.gather(
                 *(
@@ -119,7 +118,7 @@ class TestWireLevelOverload:
         total, max_pending = 10, 2
         gate = threading.Event()
         with ServerThread(
-            models_dir, max_batch=1, max_wait_ms=0.5, max_pending=max_pending
+            models_dir, max_batch=1, max_pending=max_pending
         ) as handle:
             server = handle.server
             entry = server.registry.get("flip")

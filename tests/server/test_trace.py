@@ -46,7 +46,7 @@ def find_span(span, name):
 class TestTracedTransform:
     @pytest.fixture
     def sharded(self, models_dir):
-        with ServerThread(models_dir, jobs=2, max_wait_ms=2.0) as handle:
+        with ServerThread(models_dir, jobs=2) as handle:
             with ServerClient(handle.host, handle.port) as client:
                 yield client
 
@@ -56,8 +56,7 @@ class TestTracedTransform:
         assert len(trace["trace_id"]) == 16
         names = span_names(trace)
         for required in (
-            "decode", "queue", "batch.assemble", "dispatch", "execute",
-            "encode",
+            "decode", "queue", "dispatch", "execute", "encode",
         ):
             assert required in names, f"missing span {required}"
 
@@ -107,7 +106,7 @@ class TestTraceEventsAndMetrics:
         events = []
         log = EventLog(enabled=True).add_sink(events.append)
         with ServerThread(
-            models_dir, max_wait_ms=2.0, events=log, trace_sample_rate=1.0
+            models_dir, events=log, trace_sample_rate=1.0
         ) as handle:
             with ServerClient(handle.host, handle.port) as client:
                 client.transform("flip", DOCUMENT)
@@ -127,7 +126,7 @@ class TestTraceEventsAndMetrics:
         events = []
         log = EventLog(enabled=True).add_sink(events.append)
         with ServerThread(
-            models_dir, max_wait_ms=2.0, events=log, slow_ms=0.0
+            models_dir, events=log, slow_ms=0.0
         ) as handle:
             with ServerClient(handle.host, handle.port) as client:
                 client.transform("flip", DOCUMENT)
@@ -141,7 +140,7 @@ class TestTraceEventsAndMetrics:
         events = []
         log = EventLog(enabled=True).add_sink(events.append)
         with ServerThread(
-            models_dir, max_wait_ms=2.0, events=log, slow_ms=60_000.0
+            models_dir, events=log, slow_ms=60_000.0
         ) as handle:
             with ServerClient(handle.host, handle.port) as client:
                 client.transform("flip", DOCUMENT)
@@ -151,7 +150,7 @@ class TestTraceEventsAndMetrics:
         assert counted == [{"labels": {"mode": "watch"}, "value": 1}]
 
     def test_disabled_tracing_records_nothing(self, models_dir):
-        with ServerThread(models_dir, max_wait_ms=2.0) as handle:
+        with ServerThread(models_dir) as handle:
             with ServerClient(handle.host, handle.port) as client:
                 client.transform("flip", DOCUMENT)
                 metrics = client.metrics()
@@ -160,7 +159,7 @@ class TestTraceEventsAndMetrics:
 
     def test_trace_overhead_histogram_records_per_trace(self, models_dir):
         with ServerThread(
-            models_dir, max_wait_ms=2.0, trace_sample_rate=1.0
+            models_dir, trace_sample_rate=1.0
         ) as handle:
             with ServerClient(handle.host, handle.port) as client:
                 for _ in range(3):
@@ -174,7 +173,7 @@ class TestProfileVerb:
     def test_profile_returns_per_rule_counts_for_a_stock_model(
         self, models_dir
     ):
-        with ServerThread(models_dir, max_wait_ms=2.0) as handle:
+        with ServerThread(models_dir) as handle:
             with ServerClient(handle.host, handle.port) as client:
                 client.transform("flip", DOCUMENT)
                 profiles = client.profile()
@@ -186,7 +185,7 @@ class TestProfileVerb:
         assert top["hits"] > 0 and " × " in top["label"]
 
     def test_profile_narrows_to_one_model(self, models_dir):
-        with ServerThread(models_dir, max_wait_ms=2.0) as handle:
+        with ServerThread(models_dir) as handle:
             with ServerClient(handle.host, handle.port) as client:
                 client.transform("flip", DOCUMENT)
                 client.transform("flip", DOCUMENT)
@@ -194,7 +193,7 @@ class TestProfileVerb:
         assert set(profiles) == {"flip@1"}
 
     def test_unexercised_models_are_omitted(self, models_dir):
-        with ServerThread(models_dir, max_wait_ms=2.0) as handle:
+        with ServerThread(models_dir) as handle:
             with ServerClient(handle.host, handle.port) as client:
                 profiles = client.profile()
         assert profiles == {}
@@ -202,7 +201,7 @@ class TestProfileVerb:
     def test_unknown_model_raises(self, models_dir):
         from repro.errors import ModelNotFoundError
 
-        with ServerThread(models_dir, max_wait_ms=2.0) as handle:
+        with ServerThread(models_dir) as handle:
             with ServerClient(handle.host, handle.port) as client:
                 with pytest.raises(ModelNotFoundError):
                     client.profile(model="nope")
@@ -210,7 +209,7 @@ class TestProfileVerb:
 
 class TestMetricsFold:
     def test_snapshot_folds_in_engine_and_backend_counters(self, models_dir):
-        with ServerThread(models_dir, max_wait_ms=2.0) as handle:
+        with ServerThread(models_dir) as handle:
             with ServerClient(handle.host, handle.port) as client:
                 client.transform("flip", DOCUMENT)
                 metrics = client.metrics()

@@ -1,5 +1,7 @@
 """Tests for the DTD-based encoding (Section 10)."""
 
+import time
+
 import pytest
 
 from repro.errors import AmbiguousContentModelError, EncodingError
@@ -167,3 +169,24 @@ class TestRoundtrips:
             assert encoder.roundtrip(doc) == doc
         with pytest.raises(EncodingError):
             encoder.encode(element("r", element("b")))
+
+
+class TestScaling:
+    def test_per_child_encode_time_is_flat_in_the_child_count(self):
+        """Star/Plus matching memoizes reachable ends per start, so a
+        wide element costs about the same per child at 80 children as
+        at 10 (trying every split point of every span was cubic)."""
+        encoder = DTDEncoder(xmlflip_input_dtd())
+
+        def per_child_seconds(width):
+            document = xmlflip_document(width // 2, width - width // 2)
+            repeats = 400 // width
+            best = float("inf")
+            for _ in range(5):
+                started = time.perf_counter()
+                for _ in range(repeats):
+                    encoder.encode(document)
+                best = min(best, (time.perf_counter() - started) / repeats)
+            return best / width
+
+        assert per_child_seconds(80) <= 3 * per_child_seconds(10)
