@@ -5,12 +5,20 @@ the interned tree core.  (a) Structurally shared inputs are translated
 once — cache misses grow with the number of *distinct* subtrees, not
 with tree size; (b) re-running a transducer over overlapping inputs is
 served by the persistent ``(state, uid)`` memo and is measurably faster
-than cold evaluation; (c) memoized and cold evaluation agree.
+than cold evaluation; (c) memoized and cold evaluation agree.  It also
+reports what one intern-table miss and one hit cost at arity 0, 1 and 2,
+without a timing gate: on a shared runner one would be flaky.
 """
 
 import time
 
-from repro.trees.tree import Tree, leaf, tree
+from repro.trees.tree import (
+    Tree,
+    intern_stats,
+    leaf,
+    reset_intern_stats,
+    tree,
+)
 from repro.transducers.dtop import DTOP
 from repro.transducers.rhs import rhs_tree
 from repro.trees.alphabet import RankedAlphabet
@@ -96,4 +104,37 @@ def test_e12_memoized_vs_cold(benchmark):
         "persistent (state, uid) memo beats cold evaluation on overlap",
         f"{len(inputs)} overlapping combs: cold {cold_elapsed * 1e3:.1f} ms, "
         f"memoized {warm_elapsed * 1e3:.1f} ms ({speedup:.1f}×)",
+    )
+
+
+def _intern_costs(arity: int, count: int = 20000, repeats: int = 5):
+    """Best-of-``repeats`` µs per intern miss and per hit at ``arity``."""
+    children = tuple(leaf(f"intern-cost-child-{i}") for i in range(arity))
+    best_miss = best_hit = float("inf")
+    for repeat in range(repeats):
+        labels = [f"intern-cost-{arity}-{repeat}-{i}" for i in range(count)]
+        reset_intern_stats()
+        start = time.perf_counter()
+        built = [Tree(label, children) for label in labels]
+        middle = time.perf_counter()
+        again = [Tree(label, children) for label in labels]
+        end = time.perf_counter()
+        stats = intern_stats()
+        assert stats["misses"] == count and stats["hits"] == count
+        assert all(a is b for a, b in zip(built, again))
+        best_miss = min(best_miss, (middle - start) / count * 1e6)
+        best_hit = min(best_hit, (end - middle) / count * 1e6)
+        del built, again
+    return best_miss, best_hit
+
+
+def test_e12_intern_miss_and_hit_costs():
+    costs = {arity: _intern_costs(arity) for arity in (0, 1, 2)}
+    report(
+        "E12/intern",
+        "hash-consing: a hit is cheap, a miss allocates one node",
+        ", ".join(
+            f"arity {arity}: miss {miss:.2f} µs, hit {hit:.2f} µs"
+            for arity, (miss, hit) in costs.items()
+        ),
     )

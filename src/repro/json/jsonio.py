@@ -11,6 +11,15 @@ cannot represent faithfully:
 * non-finite numbers (``NaN``/``Infinity`` — not JSON anyway) never
   parse and never serialize.
 
+Two readers share that contract.  The stdlib's C decoder
+(:class:`json.JSONDecoder`) accepts documents: its hooks refuse
+duplicate keys, ``NaN``/``Infinity`` and numbers that overflow to
+infinity, and it is skipped outright for text holding a ``\\u`` escape
+(the C decoder accepts lone surrogates) or more ``{``/``[`` than
+``max_depth``.  Whatever it refuses, the strict pure-Python reader
+(:class:`_JsonParser`) reads again; that reader is the reference, and
+it reports every refusal.
+
 Every syntax error is a :class:`~repro.errors.ParseError` carrying the
 byte offset of the offending character, mirroring
 :mod:`repro.xml.xmlio`.  The writer is deterministic: object members
@@ -21,7 +30,9 @@ JSON-lines protocol of :class:`JsonLinesParser` self-framing.
 
 from __future__ import annotations
 
+import json
 import math
+import sys
 from typing import List, Optional, Union
 
 from repro.errors import EncodingError, ParseError
@@ -30,6 +41,7 @@ from repro.errors import EncodingError, ParseError
 DEFAULT_MAX_DEPTH = 200
 
 _WHITESPACE = " \t\n\r"
+_DIGITS = "0123456789"
 _ESCAPES = {
     '"': '"',
     "\\": "\\",
@@ -85,7 +97,7 @@ class _JsonParser:
             return self.parse_array(depth)
         if ch == '"':
             return self.parse_string()
-        if ch == "-" or ch.isdigit():
+        if ch == "-" or ch in _DIGITS:
             return self.parse_number()
         for literal, value in (("true", True), ("false", False), ("null", None)):
             if self.source.startswith(literal, self.pos):
@@ -226,7 +238,7 @@ class _JsonParser:
         if self.pos < len(source) and source[self.pos] == "-":
             self.pos += 1
         digits_start = self.pos
-        while self.pos < len(source) and source[self.pos].isdigit():
+        while self.pos < len(source) and source[self.pos] in _DIGITS:
             self.pos += 1
         if self.pos == digits_start:
             self.pos = start
@@ -242,7 +254,7 @@ class _JsonParser:
             is_float = True
             self.pos += 1
             fraction_start = self.pos
-            while self.pos < len(source) and source[self.pos].isdigit():
+            while self.pos < len(source) and source[self.pos] in _DIGITS:
                 self.pos += 1
             if self.pos == fraction_start:
                 self.pos = start
@@ -253,19 +265,75 @@ class _JsonParser:
             if self.pos < len(source) and source[self.pos] in "+-":
                 self.pos += 1
             exponent_start = self.pos
-            while self.pos < len(source) and source[self.pos].isdigit():
+            while self.pos < len(source) and source[self.pos] in _DIGITS:
                 self.pos += 1
             if self.pos == exponent_start:
                 self.pos = start
                 raise self.error("number exponent needs digits")
         text = source[start : self.pos]
         if not is_float:
-            return int(text)
+            try:
+                return int(text)
+            except ValueError:  # past the interpreter's digit limit
+                self.pos = start
+                raise self.error(
+                    f"integer literal of {len(text.lstrip('-'))} digits "
+                    f"exceeds the limit of {sys.get_int_max_str_digits()}"
+                ) from None
         value = float(text)
         if not math.isfinite(value):
             self.pos = start
             raise self.error(f"number {text!r} overflows to infinity")
         return value
+
+
+def _refuse_duplicates(pairs: list) -> dict:
+    result = dict(pairs)
+    if len(result) != len(pairs):
+        raise ValueError("duplicate object key")
+    return result
+
+
+def _refuse_constant(name: str) -> None:
+    raise ValueError(f"non-finite constant {name}")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("number overflows to infinity")
+    return value
+
+
+#: The C decoder, hooked to refuse what the modeled subset refuses.
+_DECODER = json.JSONDecoder(
+    object_pairs_hook=_refuse_duplicates,
+    parse_constant=_refuse_constant,
+    parse_float=_finite_float,
+)
+
+#: The C decoder's answer for a document it does not accept.
+_REFUSED = object()
+
+
+def _read_fast(source: str, max_depth: int):
+    """``source`` read by the C decoder, or ``_REFUSED``."""
+    if "\\u" in source or source.count("{") + source.count("[") > max_depth:
+        return _REFUSED
+    try:
+        return _DECODER.decode(source)
+    except ValueError:  # JSONDecodeError, a hook, or the digit limit
+        return _REFUSED
+
+
+def _read_strict(source: str, max_depth: int) -> JsonValue:
+    """``source`` read by the strict reader, the reference."""
+    parser = _JsonParser(source, max_depth)
+    value = parser.parse_value(0)
+    parser.skip_whitespace()
+    if parser.pos != len(source):
+        raise parser.error("trailing content after the document")
+    return value
 
 
 def parse_json(
@@ -283,11 +351,9 @@ def parse_json(
             raise ParseError(
                 f"JSON error at offset {error.start}: invalid UTF-8"
             ) from None
-    parser = _JsonParser(source, max_depth)
-    value = parser.parse_value(0)
-    parser.skip_whitespace()
-    if parser.pos != len(source):
-        raise parser.error("trailing content after the document")
+    value = _read_fast(source, max_depth)
+    if value is _REFUSED:
+        value = _read_strict(source, max_depth)
     return value
 
 
@@ -380,7 +446,7 @@ class JsonLinesParser:
         self._offset = 0  # bytes consumed before the current buffer
 
     def _parse_line(self, line: bytes) -> None:
-        if not line.strip():
+        if not line or line.isspace():
             return
         try:
             self._ready.append(parse_json(line, max_depth=self.max_depth))
@@ -403,15 +469,21 @@ class JsonLinesParser:
             raise ParseError("cannot feed a closed stream parser")
         if isinstance(fragment, str):
             fragment = fragment.encode("utf-8")
-        self._buffer += fragment
-        while True:
-            newline = self._buffer.find(b"\n")
-            if newline == -1:
-                return
-            line = self._buffer[:newline]
-            self._buffer = self._buffer[newline + 1 :]
-            self._offset += newline + 1
-            self._parse_line(line)
+        buffer = self._buffer + fragment
+        # Scan with an offset and cut the buffer once: cutting it after
+        # every line would copy the rest of the fragment each time.
+        start = 0
+        try:
+            while True:
+                newline = buffer.find(b"\n", start)
+                if newline == -1:
+                    return
+                line = buffer[start:newline]
+                self._offset += newline + 1 - start
+                start = newline + 1
+                self._parse_line(line)
+        finally:
+            self._buffer = buffer[start:]
 
     def ready(self) -> List[JsonValue]:
         """Documents completed since the last call (drains the buffer)."""

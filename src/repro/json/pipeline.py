@@ -164,9 +164,7 @@ class JsonTransformation:
                         if isinstance(outcome, ReproError):
                             results.append(outcome)
                         else:
-                            results.append(
-                                self._decode_with_values(outcome, {}, {})
-                            )
+                            results.append(self.encoder.decode(outcome))
                 except ReproError as error:
                     results.append(error)
                 except RecursionError:

@@ -51,12 +51,16 @@ from repro.errors import ParseError, TreeError
 
 Label = Hashable
 
-#: Global intern table: (label, children) → weakref to the unique live
-#: Tree.  Weak references let unused trees be reclaimed; the death
-#: callback removes the entry.  A raw dict of keyed refs (the pattern
-#: WeakValueDictionary implements) keeps the hot construction path free
-#: of extra Python frames.
-_INTERN: Dict[Tuple[Label, Tuple["Tree", ...]], "_InternRef"] = {}
+#: Global intern table: ``(label, child uid…)`` → weak reference to the
+#: unique live Tree.  Keying by child uids rather than by the children
+#: themselves keeps every key hash in C: a uid is a plain int, while
+#: hashing a Tree calls the Python-level :meth:`Tree.__hash__`.  A uid
+#: is never reused and a live tree keeps its children alive, so a key
+#: of a live entry always names live children.  Weak references let
+#: unused trees be reclaimed; the death callback removes the entry.  A
+#: raw dict of keyed refs (the pattern WeakValueDictionary implements)
+#: keeps the hot construction path free of extra Python frames.
+_INTERN: Dict[Tuple, "_InternRef"] = {}
 
 _UID = itertools.count(1)
 
@@ -71,17 +75,13 @@ def _forget(ref: "_InternRef") -> None:
 
 
 class _InternRef(weakref.ref):
-    """A weak reference remembering its intern-table key."""
+    """A weak reference remembering its intern-table key.
+
+    Built by weakref's own C constructor, ``_InternRef(tree, _forget)``;
+    the caller sets :attr:`key` right after.
+    """
 
     __slots__ = ("key",)
-
-    def __new__(cls, tree: "Tree", key: Tuple[Label, Tuple["Tree", ...]]):
-        self = weakref.ref.__new__(cls, tree, _forget)
-        self.key = key
-        return self
-
-    def __init__(self, tree: "Tree", key: Tuple[Label, Tuple["Tree", ...]]):
-        super().__init__(tree, _forget)
 
 
 def intern_stats() -> Dict[str, int]:
@@ -130,11 +130,30 @@ class Tree:
     uid: int
 
     def __new__(cls, label: Label, children: Sequence["Tree"] = ()):
-        children = tuple(children)
-        for child in children:
-            if not isinstance(child, Tree):
-                raise TreeError(f"child {child!r} is not a Tree")
-        key = (label, children)
+        if type(children) is not tuple:
+            children = tuple(children)
+        arity = len(children)
+        # Arity 0-2, nearly every node an encoding builds, is unrolled:
+        # no loops or generator frames on the hot path.
+        if arity == 0:
+            key = (label,)
+        elif arity == 1:
+            only = children[0]
+            if not isinstance(only, Tree):
+                raise TreeError(f"child {only!r} is not a Tree")
+            key = (label, only.uid)
+        elif arity == 2:
+            left, right = children
+            if not isinstance(left, Tree):
+                raise TreeError(f"child {left!r} is not a Tree")
+            if not isinstance(right, Tree):
+                raise TreeError(f"child {right!r} is not a Tree")
+            key = (label, left.uid, right.uid)
+        else:
+            for child in children:
+                if not isinstance(child, Tree):
+                    raise TreeError(f"child {child!r} is not a Tree")
+            key = (label, *[child.uid for child in children])
         try:
             ref = _INTERN.get(key)
         except TypeError:
@@ -144,19 +163,33 @@ class Tree:
             if cached is not None:
                 _STATS["hits"] += 1
                 return cached
+        if arity == 0:
+            size = height = 1
+        elif arity == 1:
+            size = only._size + 1
+            height = only._height + 1
+        elif arity == 2:
+            size = left._size + right._size + 1
+            height = left._height
+            if right._height > height:
+                height = right._height
+            height += 1
+        else:
+            size = 1 + sum([child._size for child in children])
+            height = 1 + max([child._height for child in children])
         self = object.__new__(cls)
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "children", children)
-        object.__setattr__(self, "uid", next(_UID))
-        object.__setattr__(self, "_hash", hash(key))
-        object.__setattr__(self, "_size", 1 + sum(c._size for c in children))
-        object.__setattr__(
-            self,
-            "_height",
-            1 + max((c._height for c in children), default=0),
-        )
+        _set_label(self, label)
+        _set_children(self, children)
+        _set_uid(self, next(_UID))
+        # Structural, like the equality it backs: the children's own
+        # hashes, never their uids.
+        _set_hash(self, hash((label, children)))
+        _set_size(self, size)
+        _set_height(self, height)
         _STATS["misses"] += 1
-        _INTERN[key] = _InternRef(self, key)
+        ref = _InternRef(self, _forget)
+        ref.key = key
+        _INTERN[key] = ref
         return self
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -266,6 +299,16 @@ class Tree:
             return result
 
         return visit(self)
+
+
+# The slots' own descriptor setters get past the immutability guard of
+# ``Tree.__setattr__`` at about half the cost of ``object.__setattr__``.
+_set_label = Tree.label.__set__
+_set_children = Tree.children.__set__
+_set_uid = Tree.uid.__set__
+_set_hash = Tree._hash.__set__
+_set_size = Tree._size.__set__
+_set_height = Tree._height.__set__
 
 
 def tree(label: Label, *children: Tree) -> Tree:

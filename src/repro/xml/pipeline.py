@@ -166,9 +166,7 @@ class XMLTransformation:
                         if isinstance(outcome, ReproError):
                             results.append(outcome)
                         else:
-                            results.append(
-                                self._decode_with_values(outcome, {}, {})
-                            )
+                            results.append(self.output_encoder.decode(outcome))
                 except ReproError as error:
                     results.append(error)
                 except RecursionError:

@@ -1,5 +1,7 @@
 """The strict JSON reader/writer: offsets, hostile inputs, round-trips."""
 
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -96,6 +98,27 @@ class TestParseRejections:
             parse_json('{"key": bad}')
         assert offset_of(caught.value) == 8
 
+    def test_integer_past_the_digit_limit_is_a_parse_error(self):
+        """``int()`` refuses more than 4300 digits with a ValueError,
+        which used to escape the reader and drop a served connection."""
+        with pytest.raises(ParseError) as caught:
+            parse_json('{"host": ' + "9" * 5000 + "}")
+        assert "integer literal of 5000 digits exceeds the limit" in str(
+            caught.value
+        )
+        assert offset_of(caught.value) == 9
+        assert parse_json("-" + "9" * 4300) == -int("9" * 4300)
+
+    @pytest.mark.parametrize("digit", ["\u00b2", "\u0661", "\uff11"])
+    def test_only_ascii_digits_make_numbers(self, digit):
+        """RFC 8259 digits are 0-9; ``str.isdigit`` also admitted
+        superscripts (then ``int()`` raised) and other scripts' digits."""
+        with pytest.raises(ParseError, match="unexpected character") as caught:
+            parse_json("[" + digit + "]")
+        assert offset_of(caught.value) == 1
+        with pytest.raises(ParseError, match="malformed number"):
+            parse_json("-" + digit)
+
 
 class TestSerialize:
     def test_single_line_and_insertion_order(self):
@@ -166,6 +189,15 @@ class TestJsonLinesParser:
         with pytest.raises(ParseError, match="document 3"):
             parser.feed(b"{bad}\n")
 
+    def test_errors_carry_the_offset_past_the_failing_line(self):
+        parser = JsonLinesParser()
+        parser.feed(b"[1]\n")
+        with pytest.raises(ParseError) as caught:
+            parser.feed(b"\n2\n{bad}\n3\n")
+        assert str(caught.value).startswith(
+            "JSON stream error in document 3 (near byte 13): "
+        )
+
     def test_split_across_tiny_fragments(self):
         parser = JsonLinesParser()
         for byte in b'{"key": [1, 2]}\n"tail"':
@@ -185,3 +217,25 @@ def test_iter_json_documents_small_chunks(tmp_path):
     stream.write_text("\n".join(serialize_json([i] * i) for i in range(20)))
     documents = list(iter_json_documents(stream, chunk_bytes=3))
     assert documents == [[i] * i for i in range(20)]
+
+
+class TestScaling:
+    def test_per_line_feed_time_is_flat_in_the_lines_per_fragment(self):
+        """``feed`` scans a fragment with an offset and cuts the buffer
+        once; cutting it after every line copied the rest of the
+        fragment each time, quadratic in the lines per fragment.  Blank
+        lines keep the reader's own cost out of the measurement."""
+        line = b" " * 200 + b"\n"
+
+        def per_line_seconds(lines):
+            fragment = line * lines
+            repeats = 8000 // lines
+            best = float("inf")
+            for _ in range(5):
+                started = time.perf_counter()
+                for _ in range(repeats):
+                    JsonLinesParser().feed(fragment)
+                best = min(best, (time.perf_counter() - started) / repeats)
+            return best / lines
+
+        assert per_line_seconds(4000) <= 3 * per_line_seconds(50)

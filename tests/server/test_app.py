@@ -423,3 +423,29 @@ class TestLargeAndDeepDocuments:
             assert "recursion limit" in str(caught.value)
             # The connection survived the failure.
             assert active.health()["status"] == "serving"
+
+    def test_overlong_json_integer_is_an_error_not_a_dropped_connection(
+        self, tmp_path
+    ):
+        # More than the interpreter's 4300 integer digits made ``int()``
+        # raise a ValueError that escaped the reader and closed the
+        # connection with no response.
+        import shutil
+        from pathlib import Path
+
+        models = Path(__file__).resolve().parents[2] / "models"
+        shutil.copy(models / "rename-json@1.json", tmp_path)
+        good = '{"username": "ada", "port": 22}'
+        hostile = '{"host": ' + "9" * 5000 + "}"
+        with ServerThread(tmp_path) as handle, ServerClient(
+            handle.host, handle.port
+        ) as active:
+            expected = active.transform("rename-json", good)
+            with pytest.raises(ParseError, match="5000 digits"):
+                active.transform("rename-json", hostile)
+            assert active.transform("rename-json", good) == expected
+            with pytest.raises(ParseError, match="document 2 .*5000 digits"):
+                active.transform_stream(
+                    "rename-json", f"{good}\n{hostile}\n{good}\n"
+                )
+            assert active.transform("rename-json", good) == expected

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.errors import TreeError
+from repro.trees.alphabet import RankedAlphabet
 from repro.trees.tree import (
     Tree,
     intern_stats,
@@ -132,3 +133,57 @@ class TestSharingEconomics:
             distinct.add(level.uid)
         assert level.size == 2 ** height - 1
         assert len(distinct) == height
+
+
+WIDE_ALPHABET = RankedAlphabet({"k": 4, "h": 3, "f": 2, "g": 1, "a": 0, "b": 0})
+
+
+class _HashAs:
+    """Stands in for a child with a given hash, so a recomputation never
+    reads the stored ``_hash`` of the tree it checks."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
+
+    def __hash__(self):
+        return self.value
+
+
+def recomputed(node):
+    """``(size, height, hash)`` of ``node`` from scratch, recursively."""
+    measures = [recomputed(child) for child in node.children]
+    size = 1 + sum(m[0] for m in measures)
+    height = 1 + max((m[1] for m in measures), default=0)
+    digest = hash((node.label, tuple(_HashAs(m[2]) for m in measures)))
+    return size, height, digest
+
+
+class TestConstructorArityPaths:
+    """The constructor unrolls arity 0-2; every arity must agree."""
+
+    @pytest.mark.parametrize("arity", [1, 2, 3])
+    def test_non_tree_child_rejected_at_every_position(self, arity):
+        for position in range(arity):
+            children = [leaf("a")] * arity
+            children[position] = "not-a-tree"
+            with pytest.raises(TreeError) as caught:
+                Tree("f", tuple(children))
+            assert str(caught.value) == "child 'not-a-tree' is not a Tree"
+
+    @pytest.mark.parametrize("arity", [0, 1, 2, 3, 4])
+    def test_list_and_generator_children_intern_like_a_tuple(self, arity):
+        kids = tuple(leaf(f"kid{i}") for i in range(arity))
+        expected = Tree("arity-probe", kids)
+        assert Tree("arity-probe", list(kids)) is expected
+        assert Tree("arity-probe", (kid for kid in kids)) is expected
+        assert type(expected.children) is tuple
+
+    @given(trees_over(WIDE_ALPHABET))
+    @settings(max_examples=150)
+    def test_size_height_hash_equal_a_recursive_recomputation(self, node):
+        for _, subtree in node.subtrees():
+            assert (subtree.size, subtree.height, hash(subtree)) == recomputed(
+                subtree
+            )
